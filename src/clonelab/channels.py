@@ -24,13 +24,14 @@ import numpy as np
 from .linalg import (
     ATOL_EQ,
     DimensionMismatchError,
-    NotUnitaryError,
     as_matrix,
     dagger,
     eig_hermitian,
     max_abs,
     partial_trace,
-    unitarity_residual,
+    require_hermitian,
+    require_unitary,
+    worst,
 )
 
 
@@ -71,8 +72,8 @@ class Channel:
 
     def cp_residual(self) -> float:
         """How far the Choi operator is from PSD (most negative eigenvalue)."""
-        w, _ = eig_hermitian(self.choi, tol=1e-8)
-        return float(max(0.0, -w.min()))
+        w = np.linalg.eigvalsh(require_hermitian(self.choi, tol=1e-8))
+        return worst((0.0, -w.min()))
 
     def tp_residual(self) -> float:
         """Max-norm residual of Tr_out[choi] against the input identity."""
@@ -94,10 +95,10 @@ class Channel:
                 f"Choi shape {self.choi.shape} != ({n}, {n})"
             )
         cp = self.cp_residual()
-        if cp > atol:
+        if not cp <= atol:
             raise ValueError(f"Choi operator not PSD: residual {cp:.3e}")
         tp = self.tp_residual()
-        if tp > atol:
+        if not tp <= atol:
             raise ValueError(f"channel not trace preserving: residual {tp:.3e}")
 
 
@@ -133,10 +134,7 @@ def make_channel(
 
 def choi_of_unitary(u: np.ndarray, tol: float = 1e-10, validate: bool = True) -> Channel:
     """Rank-one Choi |U><U| of a unitary channel."""
-    u = as_matrix(u)
-    res = unitarity_residual(u)
-    if res > tol:
-        raise NotUnitaryError(res, tol)
+    u = require_unitary(u, tol)
     v = vec(u)
     return make_channel(
         np.outer(v, v.conj()), dims_in=[u.shape[0]], dims_out=[u.shape[0]],
@@ -238,7 +236,7 @@ class CombNetwork:
             if w.min() < -atol:
                 raise ValueError(f"comb Choi not PSD: min eigenvalue {w.min():.3e}")
         r1, r2 = self.normalization_residuals()
-        if max(r1, r2) > atol:
+        if not worst((r1, r2)) <= atol:
             raise ValueError(
                 f"comb normalization violated: slot residual {r1:.3e}, input residual {r2:.3e}"
             )
@@ -294,18 +292,25 @@ def insert_gate(network: CombNetwork, u: np.ndarray, tol: float = 1e-10) -> Chan
     factors (1, 2): the inserted operator is |U*><U*| with the conjugated
     unitary acting on the factor returned from the slot.  Returns the
     resulting channel from (0B, 0E) to (3B, 3E).
+
+    The slot operator is rank one, so the contraction splits in two and the
+    d^12-entry network operator is read once.  First the column slot: a
+    vector-matrix product over the column factors (1, 2) in one streaming
+    pass, leaving a d^10-entry intermediate.  Then the row slot: the
+    conjugated vector over the row factors (1, 2) of that intermediate, which
+    also moves the output factors (3B, 3E) ahead of the inputs (0B, 0E).
     """
     u = as_matrix(u)
     d = network.d
     if u.shape != (d, d):
         raise DimensionMismatchError(f"gate shape {u.shape} != ({d}, {d})")
-    res = unitarity_residual(u)
-    if res > tol:
-        raise NotUnitaryError(res, tol)
-    x = u.conj().T  # x[c, e] = component of (I_1 (x) U*_2)|I> on (1, 2)
-    x4 = np.einsum("ce,fg->cefg", x, x.conj())
-    r12 = network.choi.reshape([d] * 12)
-    out = np.einsum("abce,xXcewWyYabvV->wWxXvVyY", x4, r12, optimize=True)
+    # x[c, e] = component of (I_1 (x) U*_2)|I> on (1, 2), flattened
+    x = require_unitary(u, tol).conj().T.reshape(-1)
+    # rows (0B 0E, 1 2, 3B 3E), columns (0B 0E, [1 2], 3B 3E): the column
+    # slot is the middle axis once the row index and columns (0B 0E) merge
+    half = x @ network.choi.reshape(d**8, d**2, d**2)
+    half = half.reshape(d**2, d**2, d**2, d**2, d**2)  # (0B0E, 12, 3B3E)_row, (0B0E, 3B3E)_col
+    out = np.einsum("k,akbce->baec", x.conj(), half)
     return make_channel(
         out.reshape(d**4, d**4),
         dims_in=[d, d], dims_out=[d, d],

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .haar import SeededRng, average_fidelity_mc, haar_unitaries
 from .irreps import block_fidelity, blocks_from_choi, build_irrep_table, verify_covariance
-from .linalg import max_abs
+from .linalg import max_abs, worst
 
 SCHEMA_VERSION = "1"
 CORRUPT_ENV = "CLONELAB_CORRUPT_R1"
@@ -102,24 +102,19 @@ def _cloner_checks(d: int, samples: int, seed: int) -> tuple[list[Check], dict]:
     checks.append(Check("post_channel_trace_preserving", assembly.channel_b.tp_residual(), 1e-10))
 
     net = cn.CombNetwork(choi=r1_choi, d=d)
-    worst_fid = 0.0
-    worst_paths = 0.0
-    worst_insert = 0.0
-    fids = []
+    fids, paths, inserts = [], [], []
     n_haar = max(1, min(samples, 20))
     for u in haar_unitaries(d, n_haar, rng.substream(1)):
         composed = cn.cloner_channel(u)
         closed = cn.cloner_channel_closed_form(u)
-        fid = channel_fidelity_with_double_unitary(composed, u)
-        fids.append(fid)
-        worst_fid = max(worst_fid, abs(fid - f_ref))
-        worst_paths = max(worst_paths, max_abs(composed.choi - closed.choi))
-        worst_insert = max(worst_insert, max_abs(insert_gate(net, u).choi - closed.choi))
+        fids.append(channel_fidelity_with_double_unitary(composed, u))
+        paths.append(max_abs(composed.choi - closed.choi))
+        inserts.append(max_abs(insert_gate(net, u).choi - closed.choi))
     info["f_clon_numeric"] = float(np.mean(fids))
-    checks.append(Check("fidelity_matches_closed_form", worst_fid, 1e-9))
+    checks.append(Check("fidelity_matches_closed_form", worst(abs(f - f_ref) for f in fids), 1e-9))
     checks.append(Check("fidelity_constant_over_gates", float(np.std(fids)), 1e-12))
-    checks.append(Check("compose_vs_closed_form_choi", worst_paths, 1e-9))
-    checks.append(Check("insert_gate_vs_closed_form_choi", worst_insert, 1e-9))
+    checks.append(Check("compose_vs_closed_form_choi", worst(paths), 1e-9))
+    checks.append(Check("insert_gate_vs_closed_form_choi", worst(inserts), 1e-9))
 
     res_slot, res_input = net.normalization_residuals()
     checks.append(Check("comb_normalization_slot", res_slot, 1e-9))
@@ -129,7 +124,7 @@ def _cloner_checks(d: int, samples: int, seed: int) -> tuple[list[Check], dict]:
         checks.append(Check("comb_covariance", cov, 1e-9))
 
     gen = rng.substream(3).generator()
-    worst_red = 0.0
+    reductions = []
     for _ in range(10):
         v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
         v /= np.linalg.norm(v)
@@ -137,8 +132,8 @@ def _cloner_checks(d: int, samples: int, seed: int) -> tuple[list[Check], dict]:
         out = sum(k @ sigma @ k.conj().T for k in cn.kraus_post_b(d))
         p_plus, _ = cn.sym_antisym_projectors(d)
         ref = d / (d * (d + 1) // 2) * (p_plus @ np.kron(np.outer(v, v.conj()), np.eye(d)) @ p_plus)
-        worst_red = max(worst_red, max_abs(out - ref))
-    checks.append(Check("state_cloner_reduction", worst_red, 1e-10))
+        reductions.append(max_abs(out - ref))
+    checks.append(Check("state_cloner_reduction", worst(reductions), 1e-10))
     if d == 2:
         e0 = np.array([1.0, 0.0])
         sigma = np.kron(np.outer(e0, e0), np.diag([1.0, 0.0]))
@@ -351,15 +346,13 @@ def _full_suite_checks(seed: int, quick: bool) -> list[Check]:
         r1_choi = _maybe_corrupt(assembly.r1.choi)
         net = cn.CombNetwork(choi=r1_choi, d=d)
         res_slot, res_input = net.normalization_residuals()
-        checks.append(Check(f"comb_normalization_d{d}", max(res_slot, res_input), 1e-9))
+        checks.append(Check(f"comb_normalization_d{d}", worst((res_slot, res_input)), 1e-9))
         cov = verify_covariance(r1_choi, d, trials=3, rng=rng.substream(20 + d))
         checks.append(Check(f"comb_covariance_d{d}", cov, 1e-9))
-        worst = 0.0
         n_u = 5 if quick else 20
-        for u in haar_unitaries(d, n_u, rng.substream(30 + d)):
-            worst = max(worst, max_abs(insert_gate(net, u).choi
-                                       - cn.cloner_channel_closed_form(u).choi))
-        checks.append(Check(f"insert_vs_closed_form_d{d}", worst, 1e-9))
+        inserted = worst(max_abs(insert_gate(net, u).choi - cn.cloner_channel_closed_form(u).choi)
+                         for u in haar_unitaries(d, n_u, rng.substream(30 + d)))
+        checks.append(Check(f"insert_vs_closed_form_d{d}", inserted, 1e-9))
         table = build_irrep_table(d)
 
         def _block_residual(r1_choi=r1_choi, table=table, d=d):
@@ -390,17 +383,17 @@ def _full_suite_checks(seed: int, quick: bool) -> list[Check]:
     honest = proto.run_exact("none", bases)
     checks.append(Check("protocol_honest_exact",
                         abs(honest.symbol_error_rate) + abs(honest.sift_rate - 0.5), 0.0))
-    worst_mu = 0.0
+    unbiasedness = []
     for v in haar_unitaries(2, 10, rng.substream(50)):
         seed_state = np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
         b2 = proto.build_bases(seed_state)
-        worst_mu = max(worst_mu, max_abs(proto.mutual_unbiasedness_matrix(b2) - 0.25))
-    checks.append(Check("mutual_unbiasedness_random_seeds", worst_mu, 1e-12))
+        unbiasedness.append(max_abs(proto.mutual_unbiasedness_matrix(b2) - 0.25))
+    checks.append(Check("mutual_unbiasedness_random_seeds", worst(unbiasedness), 1e-12))
     ir = proto.run_exact("intercept_resend", bases)
     checks.append(Check("protocol_intercept_exact", abs(ir.symbol_error_rate - 0.375), 0.0))
     clone_stats = proto.run_exact("clone_attack", bases)
-    reg = max(abs(clone_stats.symbol_error_rate - proto.CLONE_ATTACK_SYMBOL_ERROR),
-              abs(clone_stats.eve_guess_prob - proto.CLONE_ATTACK_EVE_GUESS))
+    reg = worst((abs(clone_stats.symbol_error_rate - proto.CLONE_ATTACK_SYMBOL_ERROR),
+                 abs(clone_stats.eve_guess_prob - proto.CLONE_ATTACK_EVE_GUESS)))
     checks.append(Check("protocol_clone_attack_regression", reg, 1e-9))
     ordering_ok = (clone_stats.symbol_error_rate < 0.375
                    and clone_stats.eve_guess_prob > 0.25)

@@ -27,13 +27,13 @@ from .channels import (
 )
 from .haar import SeededRng
 from .linalg import (
-    NotUnitaryError,
     as_matrix,
     dagger,
     max_abs,
     require_gate_dim,
+    require_unitary,
     tensor,
-    unitarity_residual,
+    worst,
 )
 from .irreps import sector_dims, swap_operator, sym_antisym_projectors
 
@@ -125,10 +125,7 @@ def build_cloner(d: int) -> ClonerAssembly:
 
 def cloner_channel(u: np.ndarray, tol: float = 1e-10) -> Channel:
     """The emulated two-copy channel for gate ``u``, via Kraus composition."""
-    u = as_matrix(u)
-    res = unitarity_residual(u)
-    if res > tol:
-        raise NotUnitaryError(res, tol)
+    u = require_unitary(u, tol)
     d = require_gate_dim(u.shape[0])
     lift = np.kron(u, np.eye(MEMORY_DIM))
     kraus = [kb @ lift @ ka for ka in kraus_pre_a(d) for kb in kraus_post_b(d)]
@@ -158,10 +155,7 @@ def _sandwich_choi(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def cloner_channel_closed_form(u: np.ndarray, tol: float = 1e-10) -> Channel:
     """The same two-copy channel evaluated from its closed-form action."""
-    u = as_matrix(u)
-    res = unitarity_residual(u)
-    if res > tol:
-        raise NotUnitaryError(res, tol)
+    u = require_unitary(u, tol)
     d = require_gate_dim(u.shape[0])
     sec = sector_dims(d)
     dims = [sec["+"], sec["-"]]
@@ -179,10 +173,7 @@ def decohered_cloner_channel(u: np.ndarray, tol: float = 1e-10) -> Channel:
     Only the diagonal i = j terms of the closed form survive, with weight
     d/d_i; the fidelity collapses to 1/d^2.
     """
-    u = as_matrix(u)
-    res = unitarity_residual(u)
-    if res > tol:
-        raise NotUnitaryError(res, tol)
+    u = require_unitary(u, tol)
     d = require_gate_dim(u.shape[0])
     sec = sector_dims(d)
     dims = [sec["+"], sec["-"]]
@@ -258,7 +249,7 @@ def controlled_swap_dilation(d: int, trials: int = 20,
     gen = (rng or SeededRng(0)).generator()
     from .linalg import partial_trace  # local import avoids a cycle at module load
 
-    worst = 0.0
+    residuals = []
     for _ in range(trials):
         g = gen.standard_normal((d * d, d * d)) + 1j * gen.standard_normal((d * d, d * d))
         rho = g @ dagger(g)
@@ -268,8 +259,8 @@ def controlled_swap_dilation(d: int, trials: int = 20,
         lift = tensor(np.eye(d), w_m)
         dil = lift @ dil @ dagger(lift)
         direct = sum(k @ rho @ dagger(k) for k in kraus)
-        worst = max(worst, max_abs(dil - direct))
-    return v, worst
+        residuals.append(max_abs(dil - direct))
+    return v, worst(residuals)
 
 
 def memory_basis_change() -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import max_entangled_vec
 from .haar import SeededRng, sample_haar_unitary
-from .linalg import as_matrix, max_abs, require_gate_dim, tensor
+from .linalg import as_matrix, max_abs, require_gate_dim, tensor, worst
 
 MU_LABELS = ("alpha", "beta", "gamma")
 SECTOR_SIGNS = ("+", "-")
@@ -194,13 +194,13 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
     if m.shape != (d**6, d**6):
         raise ValueError(f"expected a {d**6} x {d**6} operator, got {m.shape}")
     rng = rng or SeededRng(0)
-    worst = 0.0
+    residuals = []
     for i in range(trials):
         v = sample_haar_unitary(d, rng.substream(2 * i))
         w = sample_haar_unitary(d, rng.substream(2 * i + 1))
         g = covariance_group_element(d, v, w)
-        worst = max(worst, max_abs(m @ g - g @ m))
-    return worst
+        residuals.append(max_abs(m @ g - g @ m))
+    return worst(residuals)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ class IrrepBlocks:
         return out
 
     def hermiticity_residual(self) -> float:
-        return max(max_abs(b - b.conj().T) for b in self.blocks.values())
+        return worst(max_abs(b - b.conj().T) for b in self.blocks.values())
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())

@@ -78,6 +78,16 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def worst(residuals) -> float:
+    """Largest of the residuals, NaN if any is NaN (0.0 for none).
+
+    Folds check residuals; the builtin ``max`` would drop a NaN, since
+    ``max(0.0, nan)`` is ``0.0``, and a corrupted operator would pass.
+    """
+    a = np.fromiter(residuals, dtype=float)
+    return float(a.max()) if a.size else 0.0
+
+
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor as the most significant index."""
     if not factors:
@@ -148,6 +158,24 @@ def unitarity_residual(u: np.ndarray) -> float:
     return max_abs(dagger(u) @ u - np.eye(u.shape[1]))
 
 
+def require_unitary(u, tol: float = ATOL_UNITARY) -> np.ndarray:
+    """The gate as a complex matrix; raises NotUnitaryError past ``tol``."""
+    u = as_matrix(u)
+    res = unitarity_residual(u)
+    if res > tol:
+        raise NotUnitaryError(res, tol)
+    return u
+
+
+def require_hermitian(m, tol: float = ATOL_HERMITIAN) -> np.ndarray:
+    """The operator as a complex matrix; raises NotHermitianError past ``tol``."""
+    m = as_matrix(m)
+    res = hermiticity_residual(m)
+    if res > tol:
+        raise NotHermitianError(res, tol)
+    return m
+
+
 def is_hermitian(m: np.ndarray, tol: float = ATOL_HERMITIAN) -> bool:
     return hermiticity_residual(m) <= tol
 
@@ -163,12 +191,7 @@ def eig_hermitian(m: np.ndarray, tol: float = ATOL_HERMITIAN) -> tuple[np.ndarra
     Returns (eigenvalues ascending, eigenvector columns); rejects input whose
     Hermiticity residual exceeds ``tol``.
     """
-    m = as_matrix(m)
-    res = hermiticity_residual(m)
-    if res > tol:
-        raise NotHermitianError(res, tol)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(require_hermitian(m, tol))
 
 
 def is_psd(m: np.ndarray, tol: float = ATOL_PSD) -> bool:

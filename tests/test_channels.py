@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clonelab.channels import (
+    CombNetwork,
     CompletenessError,
     apply_channel,
     channel_fidelity_with_double_unitary,
@@ -22,7 +23,7 @@ from clonelab.channels import (
 from clonelab.cloner import choi_r1_of_cloner, cloner_channel, first_factor_network
 from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import covariance_group_element
-from clonelab.linalg import DimensionMismatchError, NotUnitaryError, dagger
+from clonelab.linalg import DimensionMismatchError, NotHermitianError, NotUnitaryError, dagger
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -149,6 +150,73 @@ def test_insert_gate_identity_network():
         # the identity network turns gate insertion into U (x) I
         ref = choi_of_unitary(np.kron(u, np.eye(d))).choi
         assert np.abs(ch.choi - ref).max() < 1e-9
+
+
+def reference_insert_gate(choi, u, d):
+    """The 12-index einsum that ``insert_gate`` replaced, kept as its oracle."""
+    x = u.conj().T
+    x4 = np.einsum("ce,fg->cefg", x, x.conj())
+    r12 = choi.reshape([d] * 12)
+    out = np.einsum("abce,xXcewWyYabvV->wWxXvVyY", x4, r12, optimize=True)
+    return out.reshape(d**4, d**4)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_insert_gate_matches_reference_on_cloner_comb(d):
+    net = choi_r1_of_cloner(d, validate=False)
+    for u in haar_unitaries(d, 2 if d == 4 else 5, SeededRng(40 + d)):
+        ref = reference_insert_gate(net.choi, u, d)
+        assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_insert_gate_matches_reference_on_random_operator(d):
+    # neither Hermitian nor covariant, so a swapped factor or a missing
+    # conjugate cannot hide behind a symmetry of the operator
+    gen = np.random.default_rng(50 + d)
+    op = gen.standard_normal((d**6, 2 * d**6)).view(complex)
+    net = CombNetwork(choi=op, d=d)
+    u = sample_haar_unitary(d, SeededRng(60 + d))
+    ref = reference_insert_gate(op, u, d)
+    assert np.abs(ref - ref.conj().T).max() > 1e-3
+    assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
+
+
+def test_insert_gate_rejects_non_unitary():
+    net = choi_r1_of_cloner(2)
+    with pytest.raises(NotUnitaryError):
+        insert_gate(net, np.diag([1.0, 1.0 + 1e-8]))
+
+
+def test_cp_residual_rejects_non_hermitian_choi():
+    choi = np.eye(4, dtype=complex) / 2
+    choi[0, 1] = 1e-6
+    ch = make_channel(choi, dims_in=[2], dims_out=[2], validate=False)
+    with pytest.raises(NotHermitianError):
+        ch.cp_residual()
+
+
+def test_cp_residual_matches_eigh_on_non_psd_choi():
+    gen = np.random.default_rng(70)
+    g = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
+    choi = (g + g.conj().T) / 2
+    ch = make_channel(choi, dims_in=[4], dims_out=[4], validate=False)
+    expected = -np.linalg.eigh(choi)[0].min()
+    assert expected > 0.1
+    assert abs(ch.cp_residual() - expected) <= 1e-12
+    with pytest.raises(ValueError, match="not PSD"):
+        ch.validate()
+
+
+def test_validation_rejects_nan_operators():
+    choi = np.eye(4, dtype=complex) / 2
+    choi[0, 1] = choi[1, 0] = np.nan
+    with pytest.raises(ValueError, match="not PSD"):
+        make_channel(choi, dims_in=[2], dims_out=[2])
+    bad = choi_r1_of_cloner(2).choi.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="normalization"):
+        CombNetwork(choi=bad, d=2).validate(check_psd=False)
 
 
 def test_insert_gate_trace_and_dimension_check():

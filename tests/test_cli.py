@@ -134,6 +134,25 @@ def test_full_suite_corruption_hook(capsys, monkeypatch):
     assert any("covariance" in line or "insert" in line for line in failing)
 
 
+def test_full_suite_nan_corruption_fails_named_checks(capsys, monkeypatch):
+    monkeypatch.setenv("CLONELAB_CORRUPT_R1", "nan")
+    code, doc = run_json(capsys, ["full-suite", "--quick", "--json"])
+    assert code == 1
+    assert doc["passed"] is False
+    by_name = {c["name"]: c for c in doc["checks"]}
+    for name in ("insert_vs_closed_form_d2", "comb_covariance_d2"):
+        assert by_name[name]["passed"] is False
+        assert by_name[name]["residual"] != by_name[name]["residual"]  # NaN
+
+
+def test_verify_cloner_nan_corruption_fails(capsys, monkeypatch):
+    monkeypatch.setenv("CLONELAB_CORRUPT_R1", "nan")
+    code, doc = run_json(capsys, ["verify-cloner", "--d", "2", "--samples", "2", "--json"])
+    assert code == 1
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert {"insert_gate_vs_closed_form_choi", "comb_covariance"} <= failed
+
+
 def test_output_file_written_with_lf(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = main(["table", "--csv", "--output", str(path)])

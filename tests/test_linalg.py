@@ -4,6 +4,7 @@ import pytest
 from clonelab.linalg import (
     DimensionMismatchError,
     NotHermitianError,
+    NotUnitaryError,
     dagger,
     eig_hermitian,
     hermiticity_residual,
@@ -13,7 +14,10 @@ from clonelab.linalg import (
     partial_trace,
     permute_factors,
     require_gate_dim,
+    require_hermitian,
+    require_unitary,
     tensor,
+    worst,
 )
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -163,3 +167,28 @@ def test_require_gate_dim_bounds():
     for bad in (1, 5):
         with pytest.raises(ValueError):
             require_gate_dim(bad)
+
+
+def test_worst_propagates_nan():
+    assert max(0.0, float("nan")) == 0.0  # the fold that worst() replaces
+    assert np.isnan(worst([0.0, float("nan"), 1.0]))
+    assert np.isnan(worst(x for x in (float("nan"), 0.0)))
+    assert worst([1e-12, 3.0, 2.0]) == 3.0
+    assert worst([]) == 0.0
+
+
+def test_require_unitary_returns_matrix_or_raises():
+    u = require_unitary([[0, 1], [1, 0]])
+    assert u.dtype == complex and u.shape == (2, 2)
+    with pytest.raises(NotUnitaryError) as err:
+        require_unitary(np.diag([1.0, 1.0 + 1e-6]))
+    assert err.value.tol == 1e-10
+    require_unitary(np.diag([1.0, 1.0 + 1e-6]), tol=1e-5)
+
+
+def test_require_hermitian_tolerance():
+    m = SIGMA_3.copy()
+    m[0, 1] = 1e-9
+    with pytest.raises(NotHermitianError):
+        require_hermitian(m)
+    assert require_hermitian(m, tol=1e-8) is not None
