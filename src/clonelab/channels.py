@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     ATOL_EQ,
     DimensionMismatchError,
+    NotHermitianError,
     as_matrix,
     dagger,
     eig_hermitian,
@@ -94,7 +95,10 @@ class Channel:
             raise DimensionMismatchError(
                 f"Choi shape {self.choi.shape} != ({n}, {n})"
             )
-        cp = self.cp_residual()
+        try:
+            cp = self.cp_residual()
+        except NotHermitianError as exc:  # NaN entries fail here, before eigvalsh
+            raise ValueError(f"Choi operator not PSD: {exc}") from exc
         if not cp <= atol:
             raise ValueError(f"Choi operator not PSD: residual {cp:.3e}")
         tp = self.tp_residual()
@@ -161,7 +165,7 @@ def choi_from_kraus(
             raise DimensionMismatchError(f"Kraus shapes differ: {k.shape} vs {(dout, din)}")
     comp = sum(dagger(k) @ k for k in ks)
     res = max_abs(comp - np.eye(din))
-    if res > atol:
+    if not res <= atol:  # NaN fails
         raise CompletenessError(res, atol)
     choi = np.zeros((dout * din, dout * din), dtype=complex)
     for k in ks:
@@ -229,11 +233,9 @@ class CombNetwork:
 
     def validate(self, atol: float = ATOL_EQ, check_psd: bool = True) -> None:
         if check_psd:
-            res = max_abs(self.choi - dagger(self.choi))
-            if res > 1e-8:
-                raise ValueError(f"comb Choi not Hermitian: residual {res:.3e}")
-            w = np.linalg.eigvalsh(self.choi)
-            if w.min() < -atol:
+            # eigvalsh reads one triangle, so Hermiticity is checked on the whole operator
+            w = np.linalg.eigvalsh(require_hermitian(self.choi, 1e-8))
+            if not w.min() >= -atol:
                 raise ValueError(f"comb Choi not PSD: min eigenvalue {w.min():.3e}")
         r1, r2 = self.normalization_residuals()
         if not worst((r1, r2)) <= atol:

@@ -10,11 +10,13 @@ fallback when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,14 +25,16 @@ from . import cloner as cn
 from . import optimizer as opt
 from . import protocol as proto
 from .channels import (
+    apply_channel,
     channel_fidelity_with_double_unitary,
     channel_to_json_dict,
     comb_to_json_dict,
     insert_gate,
 )
 from .haar import SeededRng, average_fidelity_mc, haar_unitaries
-from .irreps import block_fidelity, blocks_from_choi, build_irrep_table, verify_covariance
-from .linalg import max_abs, worst
+from .irreps import (NotCovariantError, block_fidelity, blocks_from_choi, build_irrep_table,
+                     verify_covariance)
+from .linalg import max_abs, partial_trace, worst
 
 SCHEMA_VERSION = "1"
 CORRUPT_ENV = "CLONELAB_CORRUPT_R1"
@@ -48,23 +52,11 @@ class Check:
         return bool(self.residual <= self.tolerance)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag}  {self.name:<44} residual {self.residual:.3e}  tol {self.tolerance:.1e}"
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -90,110 +82,133 @@ def _maybe_corrupt(choi: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _cloner_checks(d: int, samples: int, seed: int) -> tuple[list[Check], dict]:
-    rng = SeededRng(seed)
-    assembly = cn.build_cloner(d)
-    r1_choi = _maybe_corrupt(assembly.r1.choi)
+def _run(specs, suffix: str = "") -> list[Check]:
+    """Evaluate ``(name, tolerance, residual_fn)`` specs, each as soon as it is
+    yielded; an exception fails its check, with the exception type in the name."""
+    checks = []
+    for name, tolerance, fn in specs:
+        name += suffix
+        try:
+            residual = float(fn())
+        except Exception as exc:  # report, do not abort the battery
+            residual, name = float("inf"), f"{name} ({type(exc).__name__})"
+        checks.append(Check(name, residual, tolerance))
+    return checks
+
+
+def _gate_battery(d: int, gates, closed, rng: SeededRng, info: dict):
+    """Cloner checks that build no comb; ``closed()`` lists the closed-form
+    channel of each of ``gates``, and measured values go to ``info``."""
     f_ref = cn.closed_form_fidelity(d)
-    checks: list[Check] = []
-    info: dict = {"d": d, "f_clon_closed_form": f_ref}
+    composed = functools.cache(lambda: [cn.cloner_channel(u) for u in gates])
+    fids = functools.cache(lambda: np.array(
+        [channel_fidelity_with_double_unitary(c, u) for c, u in zip(composed(), gates)]))
 
-    checks.append(Check("pre_channel_trace_preserving", assembly.channel_a.tp_residual(), 1e-10))
-    checks.append(Check("post_channel_trace_preserving", assembly.channel_b.tp_residual(), 1e-10))
+    def fidelity():
+        info["f_clon_numeric"] = float(fids().mean())
+        return worst(abs(fids() - f_ref))
 
-    net = cn.CombNetwork(choi=r1_choi, d=d)
-    fids, paths, inserts = [], [], []
-    n_haar = max(1, min(samples, 20))
-    for u in haar_unitaries(d, n_haar, rng.substream(1)):
-        composed = cn.cloner_channel(u)
-        closed = cn.cloner_channel_closed_form(u)
-        fids.append(channel_fidelity_with_double_unitary(composed, u))
-        paths.append(max_abs(composed.choi - closed.choi))
-        inserts.append(max_abs(insert_gate(net, u).choi - closed.choi))
-    info["f_clon_numeric"] = float(np.mean(fids))
-    checks.append(Check("fidelity_matches_closed_form", worst(abs(f - f_ref) for f in fids), 1e-9))
-    checks.append(Check("fidelity_constant_over_gates", float(np.std(fids)), 1e-12))
-    checks.append(Check("compose_vs_closed_form_choi", worst(paths), 1e-9))
-    checks.append(Check("insert_gate_vs_closed_form_choi", worst(inserts), 1e-9))
-
-    res_slot, res_input = net.normalization_residuals()
-    checks.append(Check("comb_normalization_slot", res_slot, 1e-9))
-    checks.append(Check("comb_normalization_input", res_input, 1e-9))
-    if d <= 3:
-        cov = verify_covariance(r1_choi, d, trials=5, rng=rng.substream(2))
-        checks.append(Check("comb_covariance", cov, 1e-9))
-
-    gen = rng.substream(3).generator()
-    reductions = []
-    for _ in range(10):
-        v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-        v /= np.linalg.norm(v)
-        sigma = np.kron(np.outer(v, v.conj()), np.diag([1.0, 0.0]))
-        out = sum(k @ sigma @ k.conj().T for k in cn.kraus_post_b(d))
+    def reduction():
+        gen, post = rng.substream(3).generator(), cn.post_channel_b(d)
         p_plus, _ = cn.sym_antisym_projectors(d)
-        ref = d / (d * (d + 1) // 2) * (p_plus @ np.kron(np.outer(v, v.conj()), np.eye(d)) @ p_plus)
-        reductions.append(max_abs(out - ref))
-    checks.append(Check("state_cloner_reduction", worst(reductions), 1e-10))
+        residuals = []
+        for _ in range(10):
+            v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+            proj = np.outer(v, v.conj()) / np.vdot(v, v).real
+            ref = d / (d * (d + 1) // 2) * (p_plus @ np.kron(proj, np.eye(d)) @ p_plus)
+            residuals.append(max_abs(apply_channel(post, np.kron(proj, np.diag([1.0, 0.0]))) - ref))
+        return worst(residuals)
+
+    def single_clone():
+        out = apply_channel(cn.post_channel_b(2), np.diag([1.0, 0, 0, 0]))  # |0><0| (x) |+><+|
+        info["single_clone_fidelity"] = float(np.real(partial_trace(out, [2, 2], keep=[0])[0, 0]))
+        return abs(info["single_clone_fidelity"] - 5.0 / 6.0)
+
+    def decohered():
+        f = channel_fidelity_with_double_unitary(cn.decohered_cloner_channel(gates[0]), gates[0])
+        info["f_deco_numeric"] = f
+        return abs(f - 1.0 / d**2)
+
+    yield "pre_channel_trace_preserving", 1e-10, lambda: cn.pre_channel_a(d).tp_residual()
+    yield "post_channel_trace_preserving", 1e-10, lambda: cn.post_channel_b(d).tp_residual()
+    yield "fidelity_matches_closed_form", 1e-9, fidelity
+    yield "fidelity_constant_over_gates", 1e-12, lambda: np.std(fids())
+    yield "compose_vs_closed_form_choi", 1e-9, lambda: worst(
+        max_abs(a.choi - b.choi) for a, b in zip(composed(), closed()))
+    yield "state_cloner_reduction", 1e-10, reduction
     if d == 2:
-        e0 = np.array([1.0, 0.0])
-        sigma = np.kron(np.outer(e0, e0), np.diag([1.0, 0.0]))
-        out = sum(k @ sigma @ k.conj().T for k in cn.kraus_post_b(2))
-        from .linalg import partial_trace
+        yield "single_clone_fidelity_5_6", 1e-9, single_clone
+    yield "controlled_swap_dilation", 1e-9, lambda: cn.controlled_swap_dilation(
+        d, trials=10, rng=rng.substream(4))[1]
+    yield "decohered_fidelity_1_over_d2", 1e-9, decohered
 
-        clone = partial_trace(out, [2, 2], keep=[0])
-        f_single = float(np.real(e0 @ clone @ e0))
-        checks.append(Check("single_clone_fidelity_5_6", abs(f_single - 5.0 / 6.0), 1e-9))
-        info["single_clone_fidelity"] = f_single
 
-    _, dil_res = cn.controlled_swap_dilation(d, trials=10, rng=rng.substream(4))
-    checks.append(Check("controlled_swap_dilation", dil_res, 1e-9))
+def _comb_battery(assembly: cn.ClonerAssembly, gates, closed, mc_samples: int,
+                  rng: SeededRng, info: dict):
+    """Checks on the cloner comb after the CLONELAB_CORRUPT_R1 hook; arguments as in
+    ``_gate_battery``, and ``mc_samples`` = 0 skips the Monte Carlo average."""
+    d = assembly.d
+    f_ref = cn.closed_form_fidelity(d)
+    net = cn.CombNetwork(choi=_maybe_corrupt(assembly.r1.choi), d=d)
+    normalization = functools.cache(net.normalization_residuals)
+    covariance = functools.cache(
+        lambda: verify_covariance(net.choi, d, trials=5, rng=rng.substream(2)))
 
-    u = next(iter(haar_unitaries(d, 1, rng.substream(5))))
-    f_deco = channel_fidelity_with_double_unitary(cn.decohered_cloner_channel(u), u)
-    checks.append(Check("decohered_fidelity_1_over_d2", abs(f_deco - 1.0 / d**2), 1e-9))
-    info["f_deco_numeric"] = f_deco
+    def blocks():
+        if not covariance() <= 1e-9:  # the guard of blocks_from_choi, evaluated once
+            raise NotCovariantError(covariance(), 1e-9)
+        table = build_irrep_table(d)
+        return abs(block_fidelity(blocks_from_choi(net.choi, table, trials=0), table) - f_ref)
 
-    if samples > 0:
-        # runtime cap: gate insertion on the d = 4 comb costs ~0.1 s per draw
-        mc_samples = min(samples, 200 if d <= 3 else 20)
+    def mc():
         mean, stderr = average_fidelity_mc(net, mc_samples, rng.substream(6))
-        checks.append(Check("mc_average_fidelity", abs(mean - f_ref), max(1e-9, 5 * stderr + 1e-12)))
-        info["mc_mean"] = mean
-        info["mc_stderr"] = stderr
-    return checks, info
+        info.update(mc_mean=mean, mc_stderr=stderr)
+        return abs(mean - f_ref) + stderr
+
+    yield "comb_normalization_slot", 1e-9, lambda: normalization()[0]
+    yield "comb_normalization_input", 1e-9, lambda: normalization()[1]
+    yield "insert_gate_vs_closed_form_choi", 1e-9, lambda: worst(
+        max_abs(insert_gate(net, u).choi - c.choi) for u, c in zip(gates, closed()))
+    if d <= 3:  # the dense covariance test costs seconds per trial at d = 4
+        yield "comb_covariance", 1e-9, covariance
+        yield "block_fidelity", 1e-9, blocks
+    if mc_samples:
+        yield "mc_average_fidelity", 1e-9, mc
+
+
+def _report(args, command: str, scope: str, checks: list[Check], fields: dict,
+            summary: str) -> int:
+    """Print the checks as text or JSON; 0 when all pass, else 1."""
+    ok = all(c.passed for c in checks)
+    if args.json:
+        payload = {"schema": SCHEMA_VERSION, "command": command, "seed": args.seed, **fields,
+                   "checks": [c.as_dict() for c in checks], "passed": ok}
+        _emit(json.dumps(payload, indent=2), args.output)
+    else:
+        lines = [f"{command}  {scope}  seed={args.seed}", *(c.line() for c in checks), summary,
+                 "ALL CHECKS PASSED" if ok else "CHECK FAILURES PRESENT"]
+        _emit("\n".join(lines), args.output)
+    return 0 if ok else 1
 
 
 def cmd_verify_cloner(args) -> int:
-    seed = _resolve_seed(args.seed)
-    checks, info = _cloner_checks(args.d, args.samples, seed)
-    ok = all(c.passed for c in checks)
+    d, rng, assembly = args.d, SeededRng(args.seed), cn.build_cloner(args.d)
+    gates = list(haar_unitaries(d, max(1, min(args.samples, 20)), rng.substream(1)))
+    closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
+    # runtime cap: every Monte Carlo draw reads the whole d = 4 comb
+    mc_samples = min(args.samples, 200 if d <= 3 else 20)
+    f_ref = cn.closed_form_fidelity(d)
+    info = {"d": d, "f_clon_closed_form": f_ref}
+    checks = _run(itertools.chain(_gate_battery(d, gates, closed, rng, info),
+                                  _comb_battery(assembly, gates, closed, mc_samples, rng, info)))
     if args.dump:
-        assembly = cn.build_cloner(args.d)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "comb": comb_to_json_dict(assembly.r1),
-            "pre_channel": channel_to_json_dict(assembly.channel_a),
-            "post_channel": channel_to_json_dict(assembly.channel_b),
-        }
+        payload = {"schema": SCHEMA_VERSION, "comb": comb_to_json_dict(assembly.r1),
+                   "pre_channel": channel_to_json_dict(assembly.channel_a),
+                   "post_channel": channel_to_json_dict(assembly.channel_b)}
         with open(args.dump, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh)
-    if args.json:
-        out = {
-            "schema": SCHEMA_VERSION,
-            "command": "verify-cloner",
-            "seed": seed,
-            **info,
-            "checks": [c.as_dict() for c in checks],
-            "passed": ok,
-        }
-        _emit(json.dumps(out, indent=2), args.output)
-    else:
-        lines = [f"verify-cloner  d={args.d}  seed={seed}"]
-        lines += [c.line() for c in checks]
-        lines.append(f"f_clon = {info['f_clon_numeric']:.8f} (closed form {info['f_clon_closed_form']:.8f})")
-        lines.append("ALL CHECKS PASSED" if ok else "CHECK FAILURES PRESENT")
-        _emit("\n".join(lines), args.output)
-    return 0 if ok else 1
+    summary = f"f_clon = {info.get('f_clon_numeric', np.nan):.8f} (closed form {f_ref:.8f})"
+    return _report(args, "verify-cloner", f"d={d}", checks, info, summary)
 
 
 def cmd_optimize(args) -> int:
@@ -293,11 +308,10 @@ _STRATEGY_ALIASES = {"none": "none", "intercept": "intercept_resend", "clone": "
 def cmd_protocol(args) -> int:
     strategy = _STRATEGY_ALIASES[args.strategy]
     bases = proto.build_bases()
-    seed = _resolve_seed(args.seed)
     if args.exact:
         stats = proto.run_exact(strategy, bases)
     else:
-        stats = proto.run_sampled(strategy, bases, args.rounds, SeededRng(seed))
+        stats = proto.run_sampled(strategy, bases, args.rounds, SeededRng(args.seed))
     d = stats.as_dict()
     if args.json:
         _emit(json.dumps({"schema": SCHEMA_VERSION, "command": "protocol", **d}, indent=2),
@@ -319,123 +333,76 @@ def cmd_protocol(args) -> int:
     return 0
 
 
-def _guarded(checks: list[Check], name: str, tolerance: float, fn) -> None:
-    """Append a check, converting an exception into a failure line."""
-    try:
-        residual = float(fn())
-    except Exception as exc:  # report, do not abort the suite
-        residual = float("inf")
-        name = f"{name} ({type(exc).__name__})"
-    checks.append(Check(name, residual, tolerance))
+def _suite_battery(rng: SeededRng, quick: bool):
+    """full-suite's optimizer, no-cloning arithmetic and protocol checks."""
+    for d in (2,) if quick else (2, 3, 4):
+        for task, ref in (("clone", opt.analytic_bound), ("learn", bl.f_learning)):
+            yield f"optimizer_{task}_d{d}", 1e-6, lambda: abs(
+                opt.solve(opt.build_problem(d, task), tol=1e-8).optimal_value - ref(d))
+        yield f"learn_equals_estimation_d{d}", 0.0, lambda: abs(bl.f_learning(d) - bl.f_estimation(d))
+    yield "no_cloning_fixed_points", 0.0, lambda: float(bl.no_cloning_fixed_points(1001) != [0.0, 0.5])
+    yield "permutation_discrimination_n3", 0.0, lambda: float(
+        bl.permutation_discrimination(3) != (3, False))
 
+    bases = functools.cache(proto.build_bases)
+    exact = functools.cache(lambda strategy: proto.run_exact(strategy, bases()))
 
-def _full_suite_checks(seed: int, quick: bool) -> list[Check]:
-    rng = SeededRng(seed)
-    checks: list[Check] = []
+    def unbiasedness():
+        seeds = (np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
+                 for v in haar_unitaries(2, 10, rng.substream(50)))
+        return worst(max_abs(proto.mutual_unbiasedness_matrix(proto.build_bases(s)) - 0.25)
+                     for s in seeds)
 
-    for d in (2, 3, 4):
-        u = next(iter(haar_unitaries(d, 1, rng.substream(10 + d))))
-        fid = channel_fidelity_with_double_unitary(cn.cloner_channel(u), u)
-        checks.append(Check(f"closed_form_fidelity_d{d}", abs(fid - cn.closed_form_fidelity(d)), 1e-9))
-        f_deco = channel_fidelity_with_double_unitary(cn.decohered_cloner_channel(u), u)
-        checks.append(Check(f"decohered_equals_random_d{d}", abs(f_deco - bl.f_random(d)), 1e-9))
-
-    comb_dims = (2,) if quick else (2, 3)
-    for d in comb_dims:
-        assembly = cn.build_cloner(d)
-        r1_choi = _maybe_corrupt(assembly.r1.choi)
-        net = cn.CombNetwork(choi=r1_choi, d=d)
-        res_slot, res_input = net.normalization_residuals()
-        checks.append(Check(f"comb_normalization_d{d}", worst((res_slot, res_input)), 1e-9))
-        cov = verify_covariance(r1_choi, d, trials=3, rng=rng.substream(20 + d))
-        checks.append(Check(f"comb_covariance_d{d}", cov, 1e-9))
-        n_u = 5 if quick else 20
-        inserted = worst(max_abs(insert_gate(net, u).choi - cn.cloner_channel_closed_form(u).choi)
-                         for u in haar_unitaries(d, n_u, rng.substream(30 + d)))
-        checks.append(Check(f"insert_vs_closed_form_d{d}", inserted, 1e-9))
-        table = build_irrep_table(d)
-
-        def _block_residual(r1_choi=r1_choi, table=table, d=d):
-            blocks = blocks_from_choi(r1_choi, table, rng=rng.substream(40 + d))
-            return abs(block_fidelity(blocks, table) - cn.closed_form_fidelity(d))
-
-        _guarded(checks, f"block_fidelity_d{d}", 1e-9, _block_residual)
-
-    opt_dims = (2,) if quick else (2, 3, 4)
-    for d in opt_dims:
-        res = opt.solve(opt.build_problem(d, "clone"), tol=1e-8)
-        checks.append(Check(f"optimizer_clone_d{d}",
-                            abs(res.optimal_value - opt.analytic_bound(d)), 1e-6))
-        res = opt.solve(opt.build_problem(d, "learn"), tol=1e-8)
-        checks.append(Check(f"optimizer_learn_d{d}",
-                            abs(res.optimal_value - bl.f_learning(d)), 1e-6))
-        checks.append(Check(f"learn_equals_estimation_d{d}",
-                            abs(bl.f_learning(d) - bl.f_estimation(d)), 0.0))
-
-    fixed = bl.no_cloning_fixed_points(1001)
-    checks.append(Check("no_cloning_fixed_points",
-                        0.0 if fixed == [0.0, 0.5] else 1.0, 0.0))
-    perm = bl.permutation_discrimination(3)
-    checks.append(Check("permutation_discrimination_n3",
-                        0.0 if perm == (3, False) else 1.0, 0.0))
-
-    bases = proto.build_bases()
-    honest = proto.run_exact("none", bases)
-    checks.append(Check("protocol_honest_exact",
-                        abs(honest.symbol_error_rate) + abs(honest.sift_rate - 0.5), 0.0))
-    unbiasedness = []
-    for v in haar_unitaries(2, 10, rng.substream(50)):
-        seed_state = np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
-        b2 = proto.build_bases(seed_state)
-        unbiasedness.append(max_abs(proto.mutual_unbiasedness_matrix(b2) - 0.25))
-    checks.append(Check("mutual_unbiasedness_random_seeds", worst(unbiasedness), 1e-12))
-    ir = proto.run_exact("intercept_resend", bases)
-    checks.append(Check("protocol_intercept_exact", abs(ir.symbol_error_rate - 0.375), 0.0))
-    clone_stats = proto.run_exact("clone_attack", bases)
-    reg = worst((abs(clone_stats.symbol_error_rate - proto.CLONE_ATTACK_SYMBOL_ERROR),
-                 abs(clone_stats.eve_guess_prob - proto.CLONE_ATTACK_EVE_GUESS)))
-    checks.append(Check("protocol_clone_attack_regression", reg, 1e-9))
-    ordering_ok = (clone_stats.symbol_error_rate < 0.375
-                   and clone_stats.eve_guess_prob > 0.25)
-    checks.append(Check("protocol_clone_attack_ordering", 0.0 if ordering_ok else 1.0, 0.0))
-    if not quick:
-        sampled = proto.run_sampled("intercept_resend", bases, 100_000, rng.substream(60))
+    def sampled_sigmas():
+        sampled = proto.run_sampled("intercept_resend", bases(), 100_000, rng.substream(60))
         sigma = np.sqrt(0.375 * 0.625 / (sampled.rounds * sampled.sift_rate))
-        checks.append(Check("protocol_intercept_sampled_4sigma",
-                            abs(sampled.symbol_error_rate - 0.375), 4 * sigma))
+        return abs(sampled.symbol_error_rate - 0.375) / sigma
 
-    net = cn.choi_r1_of_cloner(2)
-    mean, stderr = average_fidelity_mc(net, 50, rng.substream(70))
-    checks.append(Check("mc_fidelity_constant_integrand",
-                        abs(mean - cn.closed_form_fidelity(2)) + stderr, 1e-9))
-    return checks
+    yield "protocol_honest_exact", 0.0, lambda: (
+        abs(exact("none").symbol_error_rate) + abs(exact("none").sift_rate - 0.5))
+    yield "mutual_unbiasedness_random_seeds", 1e-12, unbiasedness
+    yield "protocol_intercept_exact", 0.0, lambda: abs(
+        exact("intercept_resend").symbol_error_rate - 0.375)
+    yield "protocol_clone_attack_regression", 1e-9, lambda: worst((
+        abs(exact("clone_attack").symbol_error_rate - proto.CLONE_ATTACK_SYMBOL_ERROR),
+        abs(exact("clone_attack").eve_guess_prob - proto.CLONE_ATTACK_EVE_GUESS)))
+    yield "protocol_clone_attack_ordering", 0.0, lambda: float(not (
+        exact("clone_attack").symbol_error_rate < 0.375 and exact("clone_attack").eve_guess_prob > 0.25))
+    if not quick:
+        # in standard errors of the sifted symbol error rate
+        yield "protocol_intercept_sampled_4sigma", 4.0, sampled_sigmas
 
 
 def cmd_full_suite(args) -> int:
-    seed = _resolve_seed(args.seed)
+    rng = SeededRng(args.seed)
     start = time.perf_counter()
-    checks = _full_suite_checks(seed, args.quick)
+    checks: list[Check] = []
+    for d in (2, 3, 4):
+        rng_d, with_comb = rng.substream(d), d <= (2 if args.quick else 3)
+        gates = list(haar_unitaries(d, (5 if args.quick else 20) if with_comb else 1,
+                                    rng_d.substream(1)))
+        closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
+        specs = _gate_battery(d, gates, closed, rng_d, {})
+        if with_comb:
+            specs = itertools.chain(
+                specs, _comb_battery(cn.build_cloner(d), gates, closed, 50, rng_d, {}))
+        checks += _run(specs, f"_d{d}")
+    checks += _run(_suite_battery(rng, args.quick))
     elapsed = time.perf_counter() - start
-    ok = all(c.passed for c in checks)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "full-suite",
-            "quick": bool(args.quick),
-            "seed": seed,
-            "elapsed_seconds": elapsed,
-            "checks": [c.as_dict() for c in checks],
-            "passed": ok,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = [f"full-suite  quick={args.quick} seed={seed}"]
-        lines += [c.line() for c in checks]
-        lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed "
-                     f"in {elapsed:.1f}s")
-        lines.append("ALL CHECKS PASSED" if ok else "CHECK FAILURES PRESENT")
-        _emit("\n".join(lines), args.output)
-    return 0 if ok else 1
+    summary = f"{sum(c.passed for c in checks)}/{len(checks)} checks passed in {elapsed:.1f}s"
+    fields = {"quick": bool(args.quick), "elapsed_seconds": elapsed}
+    return _report(args, "full-suite", f"quick={args.quick}", checks, fields, summary)
+
+
+def _at_least(kind, minimum):
+    """argparse type: a ``kind`` value no smaller than ``minimum``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # names the type in argparse's "invalid ... value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,12 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cloning of unitary gates: verification, optimization, baselines, protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, so a bad CLONELAB_SEED exits 2
+    seed, seed_help = os.environ.get(SEED_ENV) or "0", f"default: ${SEED_ENV}, else 0"
 
     p = sub.add_parser("verify-cloner", help="run the cloner invariant suite")
     p.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_at_least(int, 0), default=1000,
                    help="Monte Carlo draws (internally capped per dimension)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed, help=seed_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dump", type=str, default=None,
                    help="write the comb and channel Choi operators to a JSON file")
@@ -459,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="re-derive an optimal fidelity numerically")
     p.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--task", choices=("clone", "learn"), required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_at_least(float, 1e-9), default=1e-7,
+                   help="solver tolerance, at least 1e-9")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_optimize)
@@ -479,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="simulate the gate-encoded protocol")
     p.add_argument("--strategy", choices=tuple(_STRATEGY_ALIASES), required=True)
-    p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--rounds", type=_at_least(int, 1), default=1000)
+    p.add_argument("--seed", type=int, default=seed, help=seed_help)
     p.add_argument("--exact", action="store_true",
                    help="exact statistics instead of sampled rounds")
     fmt = p.add_mutually_exclusive_group()
@@ -490,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("full-suite", help="run the acceptance battery")
-    p.add_argument("--quick", action="store_true", help="d = 2 scope, under 30 seconds")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--quick", action="store_true", help="comb and optimizer checks at d = 2 only")
+    p.add_argument("--seed", type=int, default=seed, help=seed_help)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_full_suite)

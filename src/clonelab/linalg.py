@@ -162,7 +162,7 @@ def require_unitary(u, tol: float = ATOL_UNITARY) -> np.ndarray:
     """The gate as a complex matrix; raises NotUnitaryError past ``tol``."""
     u = as_matrix(u)
     res = unitarity_residual(u)
-    if res > tol:
+    if not res <= tol:  # NaN fails
         raise NotUnitaryError(res, tol)
     return u
 
@@ -171,7 +171,7 @@ def require_hermitian(m, tol: float = ATOL_HERMITIAN) -> np.ndarray:
     """The operator as a complex matrix; raises NotHermitianError past ``tol``."""
     m = as_matrix(m)
     res = hermiticity_residual(m)
-    if res > tol:
+    if not res <= tol:  # NaN fails
         raise NotHermitianError(res, tol)
     return m
 

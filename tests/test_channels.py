@@ -219,6 +219,21 @@ def test_validation_rejects_nan_operators():
         CombNetwork(choi=bad, d=2).validate(check_psd=False)
 
 
+def test_validators_reject_nan_inputs():
+    nan_gate = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    for build in (lambda: insert_gate(choi_r1_of_cloner(2), nan_gate),
+                  lambda: choi_of_unitary(nan_gate),
+                  lambda: cloner_channel(nan_gate)):
+        with pytest.raises(NotUnitaryError):
+            build()
+    bad = choi_r1_of_cloner(2).choi.copy()
+    bad[0, 1] = np.nan  # upper triangle only: invisible to eigvalsh
+    with pytest.raises(NotHermitianError):
+        CombNetwork(choi=bad, d=2).validate()
+    with pytest.raises(CompletenessError):
+        choi_from_kraus([nan_gate])
+
+
 def test_insert_gate_trace_and_dimension_check():
     net = choi_r1_of_cloner(2)
     ch = insert_gate(net, PAULI[1])

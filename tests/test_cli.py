@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clonelab import cloner
 from clonelab.cli import main
 
 
@@ -140,7 +141,7 @@ def test_full_suite_nan_corruption_fails_named_checks(capsys, monkeypatch):
     assert code == 1
     assert doc["passed"] is False
     by_name = {c["name"]: c for c in doc["checks"]}
-    for name in ("insert_vs_closed_form_d2", "comb_covariance_d2"):
+    for name in ("insert_gate_vs_closed_form_choi_d2", "comb_covariance_d2"):
         assert by_name[name]["passed"] is False
         assert by_name[name]["residual"] != by_name[name]["residual"]  # NaN
 
@@ -151,6 +152,51 @@ def test_verify_cloner_nan_corruption_fails(capsys, monkeypatch):
     assert code == 1
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert {"insert_gate_vs_closed_form_choi", "comb_covariance"} <= failed
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["optimize", "--d", "2", "--task", "clone", "--tol", "1e-12"], None),
+    (["protocol", "--strategy", "none", "--rounds", "0"], None),
+    (["protocol", "--strategy", "none"], "abc"),
+    (["verify-cloner", "--d", "2", "--samples", "-5"], None),
+])
+def test_bad_input_exits_2_at_parse_time(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("CLONELAB_SEED", env)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_check_exception_is_a_named_failure(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("dilation unavailable")
+
+    monkeypatch.setattr(cloner, "controlled_swap_dilation", boom)
+    for argv, name in ((["verify-cloner", "--d", "2", "--json"], "controlled_swap_dilation"),
+                       (["full-suite", "--quick", "--json"], "controlled_swap_dilation_d2")):
+        code, doc = run_json(capsys, argv)
+        assert code == 1
+        assert doc["passed"] is False
+        by_name = {c["name"]: c for c in doc["checks"]}
+        failed = by_name[f"{name} (RuntimeError)"]
+        assert failed["passed"] is False
+        assert failed["residual"] == float("inf")
+        assert [c for c in doc["checks"] if not c["passed"]] == [
+            c for c in doc["checks"] if "(RuntimeError)" in c["name"]]
+
+
+def test_full_suite_runs_every_verify_cloner_check(capsys):
+    _, single = run_json(capsys, ["verify-cloner", "--d", "2", "--json"])
+    _, suite = run_json(capsys, ["full-suite", "--quick", "--json"])
+    suite_tol = {c["name"]: c["tolerance"] for c in suite["checks"]}
+    assert len(single["checks"]) == 15
+    for check in single["checks"]:
+        assert suite_tol[check["name"] + "_d2"] == check["tolerance"], check["name"]
 
 
 def test_output_file_written_with_lf(tmp_path, capsys):
