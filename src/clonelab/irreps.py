@@ -271,7 +271,7 @@ def blocks_from_choi(choi: np.ndarray, table: IrrepTable,
     choi = as_matrix(choi)
     d = table.d
     res = verify_covariance(choi, d, trials=trials, rng=rng)
-    if res > covariance_tol:
+    if not res <= covariance_tol:  # NaN fails
         raise NotCovariantError(res, covariance_tol)
     r12 = choi.reshape([d] * 12)
     blocks = {}

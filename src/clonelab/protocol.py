@@ -15,10 +15,14 @@ and the cloning attack (Eve wraps Alice's gate in the optimal one-to-two
 cloner, forwards one emulated output to Bob and measures the other after the
 basis announcement).
 
-Exact mode enumerates the uniform (symbol, basis) cells with dyadic weights;
-for the canonical seed states every honest and intercept-resend probability
-is a dyadic rational and therefore exactly representable, so those statistics
-carry no rounding at all.  Eve's measurement in the cloning attack is the
+Each strategy is one exact table ``joint[b, mu, nu_bob, nu_eve]``: the
+probability of Bob's sifted outcome and Eve's guess given that Alice encoded
+symbol mu in basis b.  Exact mode reduces the table over the uniform
+(basis, symbol) cells with dyadic weights; for the canonical seed states every
+honest and intercept-resend probability is a dyadic rational and therefore
+exactly representable, so those statistics carry no rounding at all.  Sampled
+mode draws each sifted round's (nu_bob, nu_eve) from its cell's row of the
+table by inverse CDF.  Eve's measurement in the cloning attack is the
 projective measurement in the announced Bell-type basis on her retained pair
 (pluggable by swapping the basis construction); her numbers are outputs of
 this simulator, not externally given values.
@@ -30,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import kraus_of, insert_gate
+from .channels import insert_gate
 from .cloner import choi_r1_of_cloner
 from .haar import SeededRng
-from .linalg import dagger, max_abs, partial_trace, tensor, unitarity_residual
+from .linalg import max_abs, partial_trace, require_unitary
 
 STRATEGIES = ("none", "intercept_resend", "clone_attack")
 
@@ -93,8 +97,8 @@ def _prob(basis_vec: np.ndarray, state_vec: np.ndarray) -> float:
 
 def _on_travel(gate: np.ndarray, pair: np.ndarray, travel_first: bool) -> np.ndarray:
     """Apply a gate to the traveling factor of a two-qubit vector."""
-    op = tensor(gate, np.eye(2)) if travel_first else tensor(np.eye(2), gate)
-    return op @ pair
+    m = pair.reshape(2, 2)
+    return (gate @ m if travel_first else m @ gate.T).reshape(-1)
 
 
 def mutual_unbiasedness_matrix(bases: GateBases) -> np.ndarray:
@@ -132,11 +136,9 @@ def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> Gat
                 f"seed state is not maximally entangled: factor {factor} "
                 f"residual {max_abs(red - np.eye(2) / 2):.3e}"
             )
-    if unitarity_residual(u) > 1e-12:
-        raise ValueError("rotation gate failed unitarity check")
     bases = GateBases(
         sigma=tuple(sigma),
-        u_rot=u,
+        u_rot=require_unitary(u, 1e-12),
         basis1=tuple(sigma),
         basis2=tuple(u @ s for s in sigma),
         bell=bell,
@@ -189,29 +191,28 @@ def _eve_vectors(bases: GateBases, basis: int) -> list[np.ndarray]:
     return [_on_travel(g, _eve_pair(), travel_first=True) for g in gates]
 
 
-def _intercept_tables(bases: GateBases) -> tuple[np.ndarray, np.ndarray]:
-    """Exact conditionals of the intercept-resend attack.
+def _bob_table(bases: GateBases) -> np.ndarray:
+    """p[b, c, k, nu]: Bob measuring in basis b returns nu when the returned
+    pair carries gate k of basis c (Alice's own, or Eve's re-encoding)."""
+    vecs = [_bob_vectors(bases, b) for b in range(2)]
+    out = np.zeros((2, 2, 4, 4))
+    for b in range(2):
+        for c in range(2):
+            out[b, c] = [[_prob(v, w) for v in vecs[b]] for w in vecs[c]]
+    return out
 
-    Returns (p_eve, p_bob): p_eve[b, mu, be, nh] is Eve's outcome
-    distribution when Alice encoded (b, mu) and Eve measured in basis be;
-    p_bob[b, be, nh, nu] is Bob's sifted outcome distribution after Eve
-    re-encodes her estimate (be, nh).
-    """
-    p_eve = np.zeros((2, 4, 2, 4))
-    p_bob = np.zeros((2, 2, 4, 4))
+
+def _eve_table(bases: GateBases) -> np.ndarray:
+    """p[b, mu, be, nh]: Eve's intercept outcome nh when Alice encoded (b, mu)
+    and Eve measured in basis be."""
+    out = np.zeros((2, 4, 2, 4))
     for b in range(2):
         for be in range(2):
             evecs = _eve_vectors(bases, be)
             for mu in range(4):
                 evolved = _on_travel(bases.gate(b, mu), _eve_pair(), travel_first=True)
-                p_eve[b, mu, be] = [_prob(v, evolved) for v in evecs]
-    for b in range(2):
-        bvecs = _bob_vectors(bases, b)
-        for be in range(2):
-            for nh in range(4):
-                resent = _on_travel(bases.gate(be, nh), bases.bell_raw, travel_first=False)
-                p_bob[b, be, nh] = [_prob(v, resent) for v in bvecs]
-    return p_eve, p_bob
+                out[b, mu, be] = [_prob(v, evolved) for v in evecs]
+    return out
 
 
 def _clone_attack_joint(bases: GateBases) -> np.ndarray:
@@ -222,129 +223,101 @@ def _clone_attack_joint(bases: GateBases) -> np.ndarray:
     retained pair returns nu_eve, given Alice encoded (b, mu).  Wired through
     the assembled comb of the optimal cloner, so any change to the cloner
     propagates here.
+
+    The seed state is psi[K, x, R]: Bob's kept factor K, the channel input
+    x = (qB, e_in) and Eve's reference R.  Projecting it onto every product
+    of Bob's and Eve's basis vectors first leaves a[b, n, (3B, 3E, x)] per
+    outcome pair n = (nb, ne), and the outcome probability is
+    a^T C conj(a) with C the inserted channel's Choi operator on (out, in).
     """
     r1 = choi_r1_of_cloner(2)
-    bell = bases.bell
-    eve = _eve_pair() / np.sqrt(2)
-    psi0 = np.kron(bell, eve)  # factors (K, qB, e_in, eRef)
-    rho0 = np.outer(psi0, psi0.conj())
-    joint = np.zeros((2, 4, 4, 4))
-    for b in range(2):
-        bvecs = [v / np.sqrt(_norm2(v)) for v in _bob_vectors(bases, b)]
-        evecs = [v / np.sqrt(_norm2(v)) for v in _eve_vectors(bases, b)]
-        for mu in range(4):
-            channel = insert_gate(r1, bases.gate(b, mu))
-            rho_out = np.zeros((16, 16), dtype=complex)
-            for k in kraus_of(channel):
-                lifted = tensor(np.eye(2), k, np.eye(2))
-                rho_out += lifted @ rho0 @ dagger(lifted)
-            # factors now (K, 3B, 3E, eRef); Bob holds (0,1), Eve (2,3)
-            for nb, bv in enumerate(bvecs):
-                for ne, ev in enumerate(evecs):
-                    w = np.kron(bv, ev)
-                    joint[b, mu, nb, ne] = float(np.real(np.vdot(w, rho_out @ w)))
-    return joint
+    psi = np.kron(bases.bell, _eve_pair() / np.sqrt(2)).reshape(2, 4, 2)
+    bob = np.array([_bob_vectors(bases, b) for b in range(2)])
+    eve = np.array([_eve_vectors(bases, b) for b in range(2)])
+    bob = (bob / np.linalg.norm(bob, axis=-1, keepdims=True)).reshape(2, 4, 2, 2)
+    eve = (eve / np.linalg.norm(eve, axis=-1, keepdims=True)).reshape(2, 4, 2, 2)
+    # factors after the channel: (K, 3B, 3E, R); Bob holds (K, 3B), Eve (3E, R)
+    a = np.einsum("bnkp,beqr,kxr->bnepqx", bob.conj(), eve.conj(), psi).reshape(2, 16, 16)
+    choi = np.array([[insert_gate(r1, bases.gate(b, mu)).choi for mu in range(4)]
+                     for b in range(2)])
+    joint = np.einsum("bnp,bmpq,bnq->bmn", a, choi, a.conj()).real
+    return joint.reshape(2, 4, 4, 4)
+
+
+def _joint_table(strategy: str, bases: GateBases) -> np.ndarray:
+    """``joint[b, mu, nu_bob, nu_eve]`` of one strategy; Eve's guess is nu_eve."""
+    if strategy == "none":
+        # Bob reads Alice's own gate; Eve guesses blind
+        return np.einsum("bbmv->bmv", _bob_table(bases))[..., None] * np.full(4, 0.25)
+    if strategy == "intercept_resend":
+        # Eve re-encodes and guesses her own outcome nh, in either basis be
+        return 0.5 * np.einsum("amen,aenv->amvn", _eve_table(bases), _bob_table(bases))
+    if strategy == "clone_attack":
+        return _clone_attack_joint(bases)
+    raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
 
 def run_exact(strategy: str, bases: GateBases) -> ProtocolStats:
-    """Exact sifted statistics by propagation over the uniform choice cells.
+    """Exact sifted statistics: the joint table reduced over the uniform
+    (basis, symbol) cells.
 
     The sift rate is 1/2 identically (two independent uniform basis bits);
     symbol error and Eve's guess probability are conditioned on sifted
     rounds.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "none":
-        ser_sum = 0.0
-        for b in range(2):
-            bvecs = _bob_vectors(bases, b)
-            for mu in range(4):
-                ser_sum += 1.0 - _prob(bvecs[mu], bvecs[mu])
-        return ProtocolStats(strategy, 0.5, float(ser_sum / 8.0), 0.25, mode="exact")
-    if strategy == "intercept_resend":
-        p_eve, p_bob = _intercept_tables(bases)
-        ser_sum = 0.0
-        eve_sum = 0.0
-        for b in range(2):
-            for mu in range(4):
-                for be in range(2):
-                    for nh in range(4):
-                        p = p_eve[b, mu, be, nh]
-                        if p == 0.0:
-                            continue
-                        ser_sum += 0.5 * p * (1.0 - p_bob[b, be, nh, mu])
-                        eve_sum += 0.5 * p * (1.0 if nh == mu else 0.0)
-        return ProtocolStats(strategy, 0.5, float(ser_sum / 8.0),
-                             float(eve_sum / 8.0), mode="exact")
-    joint = _clone_attack_joint(bases)
-    ser_sum = 0.0
-    eve_sum = 0.0
-    for b in range(2):
-        for mu in range(4):
-            ser_sum += 1.0 - joint[b, mu, mu, :].sum()
-            eve_sum += joint[b, mu, :, mu].sum()
-    return ProtocolStats(strategy, 0.5, float(ser_sum / 8.0),
-                         float(eve_sum / 8.0), mode="exact")
+    joint = _joint_table(strategy, bases)
+    bob_right = np.einsum("bmmn->bm", joint)
+    eve_right = np.einsum("bmnm->", joint)
+    return ProtocolStats(strategy, 0.5, float((1.0 - bob_right).sum() / 8.0),
+                         float(eve_right / 8.0), mode="exact")
+
+
+def _sample_cells(weights: np.ndarray, counts: np.ndarray,
+                  gen: np.random.Generator) -> np.ndarray:
+    """Draw ``counts[c]`` outcomes from row c of ``weights``, cell after cell.
+
+    One uniform per draw, looked up by ``searchsorted`` in its row's CDF; no
+    (draws x outcomes) array is built.  Each CDF is scaled to end at exactly
+    1.0, so with right-sided search a zero-weight outcome is never returned.
+    """
+    cdf = np.cumsum(np.clip(weights, 0.0, None), axis=1)
+    if not (cdf[:, -1] > 0.0).all():  # NaN fails
+        raise ValueError("every cell needs a positive total weight")
+    cdf /= cdf[:, -1:]
+    u = np.split(gen.random(int(counts.sum())), np.cumsum(counts)[:-1])
+    return np.concatenate([np.searchsorted(row, part, side="right")
+                           for row, part in zip(cdf, u)])
+
+
+def _sifted_rounds(joint: np.ndarray, rounds: int, gen: np.random.Generator):
+    """Draw ``rounds`` rounds; (b, mu, nu_bob, nu_eve) of the sifted ones,
+    grouped by cell (round order carries no information)."""
+    alice_basis = gen.integers(0, 2, size=rounds, dtype=np.int8)
+    symbols = gen.integers(0, 4, size=rounds, dtype=np.int8)
+    bob_basis = gen.integers(0, 2, size=rounds, dtype=np.int8)
+    # sifted rounds fall in cells 0..7; unsifted ones in bins 8..15
+    counts = np.bincount(4 * alice_basis + symbols + 8 * (alice_basis != bob_basis),
+                         minlength=16)[:8]
+    cells = np.repeat(np.arange(8, dtype=np.int8), counts)
+    outcome = _sample_cells(joint.reshape(8, 16), counts, gen)
+    return (*np.divmod(cells, 4), *np.divmod(outcome, 4))
 
 
 def run_sampled(strategy: str, bases: GateBases, rounds: int,
                 rng: SeededRng) -> ProtocolStats:
-    """Monte Carlo protocol rounds drawn from the exact conditionals."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    """Monte Carlo protocol rounds drawn from the exact joint table."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    gen = rng.generator()
-    alice_basis = gen.integers(0, 2, size=rounds)
-    symbols = gen.integers(0, 4, size=rounds)
-    bob_basis = gen.integers(0, 2, size=rounds)
-    sifted = alice_basis == bob_basis
-    n_sift = int(sifted.sum())
-    if n_sift == 0:
+    _, mu, nu_bob, nu_eve = _sifted_rounds(_joint_table(strategy, bases), rounds,
+                                           rng.generator())
+    if mu.size == 0:
         return ProtocolStats(strategy, 0.0, 0.0, 0.0, mode="sampled",
                              rounds=rounds, seed=rng.seed)
-
-    b_arr = alice_basis[sifted]
-    mu_arr = symbols[sifted]
-    errors = np.zeros(n_sift, dtype=bool)
-    guesses = np.zeros(n_sift, dtype=bool)
-
-    if strategy == "none":
-        guesses = gen.integers(0, 4, size=n_sift) == mu_arr
-    elif strategy == "intercept_resend":
-        p_eve, p_bob = _intercept_tables(bases)
-        eve_basis = gen.integers(0, 2, size=n_sift)
-        for b in range(2):
-            for mu in range(4):
-                for be in range(2):
-                    cell = (b_arr == b) & (mu_arr == mu) & (eve_basis == be)
-                    count = int(cell.sum())
-                    if count == 0:
-                        continue
-                    nh = gen.choice(4, size=count, p=p_eve[b, mu, be])
-                    nu = np.array([gen.choice(4, p=p_bob[b, be, h]) for h in nh])
-                    errors[cell] = nu != mu
-                    guesses[cell] = nh == mu
-    else:
-        joint = _clone_attack_joint(bases)
-        for b in range(2):
-            for mu in range(4):
-                cell = (b_arr == b) & (mu_arr == mu)
-                count = int(cell.sum())
-                if count == 0:
-                    continue
-                p = joint[b, mu].reshape(-1)
-                p = np.clip(p, 0.0, None)
-                outcome = gen.choice(16, size=count, p=p / p.sum())
-                errors[cell] = (outcome // 4) != mu
-                guesses[cell] = (outcome % 4) == mu
-
     return ProtocolStats(
         strategy,
-        sift_rate=n_sift / rounds,
-        symbol_error_rate=float(errors.mean()),
-        eve_guess_prob=float(guesses.mean()),
+        sift_rate=mu.size / rounds,
+        symbol_error_rate=float(np.mean(nu_bob != mu)),
+        eve_guess_prob=float(np.mean(nu_eve == mu)),
         mode="sampled",
         rounds=rounds,
         seed=rng.seed,

@@ -125,6 +125,14 @@ def test_blocks_from_choi_rejects_non_covariant():
     assert err.value.residual > 1e-4
 
 
+def test_blocks_from_choi_rejects_nan_operator():
+    bad = choi_r1_of_cloner(2).choi.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(NotCovariantError) as err:
+        blocks_from_choi(bad, build_irrep_table(2))
+    assert np.isnan(err.value.residual)
+
+
 def test_optimal_cloner_blocks_saturate_bound_structure():
     # only the alpha-sector entries with paired signs survive, with the
     # saturating values sqrt(d_i d_j) / d

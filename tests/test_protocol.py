@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from clonelab.channels import insert_gate, kraus_of
+from clonelab.cloner import choi_r1_of_cloner
 from clonelab.haar import SeededRng, haar_unitaries
-from clonelab.linalg import max_abs
+from clonelab.linalg import dagger, max_abs, tensor
 from clonelab import protocol
 from clonelab.protocol import (
     CLONE_ATTACK_EVE_GUESS,
@@ -19,6 +23,97 @@ from clonelab.protocol import (
 def random_max_entangled(rng_index):
     v = next(iter(haar_unitaries(2, 1, SeededRng(1000 + rng_index))))
     return np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
+
+
+# Reference oracles: the per-strategy exact engine and the Kraus-sandwich
+# cloning-attack table that the joint-table engine replaced, on vectors built
+# with explicit Kronecker products.
+
+def reference_on_travel(gate, pair, travel_first):
+    op = tensor(gate, np.eye(2)) if travel_first else tensor(np.eye(2), gate)
+    return op @ pair
+
+
+def reference_bob_vectors(bases, basis):
+    gates = (bases.basis1, bases.basis2)[basis]
+    return [reference_on_travel(g, bases.bell_raw, False) for g in gates]
+
+
+def reference_eve_vectors(bases, basis):
+    gates = (bases.basis1, bases.basis2)[basis]
+    return [reference_on_travel(g, np.eye(2).reshape(-1), True) for g in gates]
+
+
+def reference_intercept_tables(bases):
+    p_eve = np.zeros((2, 4, 2, 4))
+    p_bob = np.zeros((2, 2, 4, 4))
+    eve_pair = np.eye(2, dtype=complex).reshape(-1)
+    for b in range(2):
+        for be in range(2):
+            evecs = reference_eve_vectors(bases, be)
+            for mu in range(4):
+                evolved = reference_on_travel(bases.gate(b, mu), eve_pair, True)
+                p_eve[b, mu, be] = [protocol._prob(v, evolved) for v in evecs]
+    for b in range(2):
+        bvecs = reference_bob_vectors(bases, b)
+        for be in range(2):
+            for nh in range(4):
+                resent = reference_on_travel(bases.gate(be, nh), bases.bell_raw, False)
+                p_bob[b, be, nh] = [protocol._prob(v, resent) for v in bvecs]
+    return p_eve, p_bob
+
+
+def reference_clone_attack_joint(bases):
+    r1 = choi_r1_of_cloner(2)
+    eve = np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2)
+    psi0 = np.kron(bases.bell, eve)  # factors (K, qB, e_in, eRef)
+    rho0 = np.outer(psi0, psi0.conj())
+    joint = np.zeros((2, 4, 4, 4))
+    for b in range(2):
+        bvecs = [v / np.linalg.norm(v) for v in reference_bob_vectors(bases, b)]
+        evecs = [v / np.linalg.norm(v) for v in reference_eve_vectors(bases, b)]
+        for mu in range(4):
+            channel = insert_gate(r1, bases.gate(b, mu))
+            rho_out = np.zeros((16, 16), dtype=complex)
+            for k in kraus_of(channel):
+                lifted = tensor(np.eye(2), k, np.eye(2))
+                rho_out += lifted @ rho0 @ dagger(lifted)
+            # factors now (K, 3B, 3E, eRef); Bob holds (0,1), Eve (2,3)
+            for nb, bv in enumerate(bvecs):
+                for ne, ev in enumerate(evecs):
+                    w = np.kron(bv, ev)
+                    joint[b, mu, nb, ne] = float(np.real(np.vdot(w, rho_out @ w)))
+    return joint
+
+
+def reference_run_exact(strategy, bases):
+    """(symbol error, Eve guess) by the per-strategy loops."""
+    ser_sum = 0.0
+    eve_sum = 0.0
+    if strategy == "none":
+        for b in range(2):
+            bvecs = reference_bob_vectors(bases, b)
+            for mu in range(4):
+                ser_sum += 1.0 - protocol._prob(bvecs[mu], bvecs[mu])
+        return ser_sum / 8.0, 0.25
+    if strategy == "intercept_resend":
+        p_eve, p_bob = reference_intercept_tables(bases)
+        for b in range(2):
+            for mu in range(4):
+                for be in range(2):
+                    for nh in range(4):
+                        p = p_eve[b, mu, be, nh]
+                        if p == 0.0:
+                            continue
+                        ser_sum += 0.5 * p * (1.0 - p_bob[b, be, nh, mu])
+                        eve_sum += 0.5 * p * (1.0 if nh == mu else 0.0)
+        return ser_sum / 8.0, eve_sum / 8.0
+    joint = reference_clone_attack_joint(bases)
+    for b in range(2):
+        for mu in range(4):
+            ser_sum += 1.0 - joint[b, mu, mu, :].sum()
+            eve_sum += joint[b, mu, :, mu].sum()
+    return ser_sum / 8.0, eve_sum / 8.0
 
 
 def test_rotation_gate_algebra():
@@ -165,3 +260,92 @@ def test_all_statistics_are_probabilities():
             for value in (stats.sift_rate, stats.symbol_error_rate,
                           stats.eve_guess_prob):
                 assert 0.0 <= value <= 1.0
+
+
+def test_on_travel_matches_kron_reference():
+    gate = next(iter(haar_unitaries(2, 1, SeededRng(40))))
+    pair = np.random.default_rng(41).normal(size=(2, 4)).view(complex).reshape(-1)
+    for travel_first in (True, False):
+        assert max_abs(protocol._on_travel(gate, pair, travel_first)
+                       - reference_on_travel(gate, pair, travel_first)) < 1e-15
+
+
+@pytest.mark.parametrize("strategy", ["none", "intercept_resend"])
+def test_joint_table_engine_equals_reference_on_canonical_seed(strategy):
+    stats = run_exact(strategy, build_bases())
+    ser, eve = reference_run_exact(strategy, build_bases())
+    assert stats.symbol_error_rate == ser
+    assert stats.eve_guess_prob == eve
+
+
+def test_clone_attack_table_matches_kraus_reference():
+    bases = build_bases()
+    joint = protocol._joint_table("clone_attack", bases)
+    assert max_abs(joint - reference_clone_attack_joint(bases)) <= 1e-12
+    stats = run_exact("clone_attack", bases)
+    ser, eve = reference_run_exact("clone_attack", bases)
+    assert abs(stats.symbol_error_rate - ser) <= 1e-12
+    assert abs(stats.eve_guess_prob - eve) <= 1e-12
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_joint_table_engine_matches_reference_on_random_seeds(index):
+    bases = build_bases(random_max_entangled(index))
+    clone = protocol._joint_table("clone_attack", bases)
+    assert max_abs(clone - reference_clone_attack_joint(bases)) <= 1e-12
+    for strategy in protocol.STRATEGIES:
+        stats = run_exact(strategy, bases)
+        ser, eve = reference_run_exact(strategy, bases)
+        assert abs(stats.symbol_error_rate - ser) <= 1e-12
+        assert abs(stats.eve_guess_prob - eve) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", protocol.STRATEGIES)
+def test_sampled_outcomes_match_joint_table_per_cell(strategy):
+    # the marginal rate tests cannot see a mis-indexed CDF that keeps the
+    # rates; every (b, mu) cell's 16 outcome frequencies can
+    rounds = 100_000
+    bases = build_bases()
+    joint = protocol._joint_table(strategy, bases)
+    b, mu, nu_bob, nu_eve = protocol._sifted_rounds(joint, rounds, SeededRng(70).generator())
+    counts = np.zeros(joint.shape)
+    np.add.at(counts, (b, mu, nu_bob, nu_eve), 1)
+    assert counts.sum() == b.size
+    p = np.clip(joint, 0.0, None)  # vanishing cloning entries carry ±1e-17 roundoff
+    assert (counts[p == 0.0] == 0).all()
+    n_cell = counts.sum(axis=(2, 3), keepdims=True)
+    sigma = np.sqrt(p * (1.0 - p) / n_cell)
+    assert (np.abs(counts / n_cell - p) <= 5 * sigma).all()
+    # run_sampled reports exactly these rounds
+    stats = run_sampled(strategy, bases, rounds, SeededRng(70))
+    assert stats.sift_rate == b.size / rounds
+    assert stats.symbol_error_rate == float(np.mean(nu_bob != mu))
+    assert stats.eve_guess_prob == float(np.mean(nu_eve == mu))
+
+
+def test_sample_cells_rejects_weightless_cell():
+    weights = np.ones((8, 16))
+    weights[3] = 0.0
+    with pytest.raises(ValueError):
+        protocol._sample_cells(weights, np.full(8, 2), np.random.default_rng(0))
+    weights[3, 0] = np.nan
+    with pytest.raises(ValueError):
+        protocol._sample_cells(weights, np.full(8, 2), np.random.default_rng(0))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    weights=arrays(np.float64, (8, 16), elements=st.floats(0.0, 1.0)),
+    zeroed=arrays(np.bool_, (8, 16)),
+    counts=arrays(np.int64, 8, elements=st.integers(0, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_cells_draws_only_weighted_outcomes(weights, zeroed, counts, seed):
+    weights = np.where(zeroed, 0.0, weights)
+    assume((weights.sum(axis=1) > 0.0).all())
+    out = protocol._sample_cells(weights, counts, np.random.default_rng(seed))
+    again = protocol._sample_cells(weights, counts, np.random.default_rng(seed))
+    assert np.array_equal(out, again)
+    assert out.shape == (counts.sum(),)
+    assert ((out >= 0) & (out <= 15)).all()
+    assert (weights[np.repeat(np.arange(8), counts), out] > 0.0).all()
