@@ -32,13 +32,10 @@ def f_estimation(d: int) -> float:
 
 
 def f_learning(d: int) -> float:
-    """Store-then-emulate fidelity: 5/d^4 for qubits, 6/d^4 above.
-
-    Coincides with :func:`f_estimation` at every d.
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return 5.0 / d**4 if d == 2 else 6.0 / d**4
+    """Store-then-emulate fidelity: equal to the measure-and-reprepare value
+    :func:`f_estimation` at every d (the learn-task optimizer re-derives it
+    independently)."""
+    return f_estimation(d)
 
 
 def f_decohered(d: int) -> float:

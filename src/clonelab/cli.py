@@ -165,6 +165,9 @@ def _comb_battery(assembly: cn.ClonerAssembly, gates, closed, mc_samples: int,
         info.update(mc_mean=mean, mc_stderr=stderr)
         return abs(mean - f_ref) + stderr
 
+    # first: a non-finite entry off the diagonal of factor 3E (where the corruption
+    # hook writes) is invisible to the normalization checks
+    yield "comb_finite", 0.0, lambda: np.count_nonzero(~np.isfinite(net.choi))
     yield "comb_normalization_slot", 1e-9, lambda: normalization()[0]
     yield "comb_normalization_input", 1e-9, lambda: normalization()[1]
     yield "insert_gate_vs_closed_form_choi", 1e-9, lambda: worst(

@@ -266,29 +266,31 @@ def blocks_from_choi(choi: np.ndarray, table: IrrepTable,
 
     Each entry is Tr[(T^mu_ji (x) T~^nu_lk) R] / (d_mu d_nu), the divisor
     being Tr[T T†] per intertwiner; rejects operators whose covariance
-    residual exceeds ``covariance_tol``.
+    residual exceeds ``covariance_tol``.  With R realigned once into
+    K[(p,q),(r,s)] = R[(q,s),(p,r)], so that Tr[(A (x) B) R] =
+    vec(A)^T K vec(B), each block is one product over the stacked
+    intertwiners.
     """
     choi = as_matrix(choi)
     d = table.d
     res = verify_covariance(choi, d, trials=trials, rng=rng)
     if not res <= covariance_tol:  # NaN fails
         raise NotCovariantError(res, covariance_tol)
-    r12 = choi.reshape([d] * 12)
+    n3 = d**3
+    realigned = choi.reshape(n3, n3, n3, n3).transpose(2, 0, 3, 1).reshape(n3 * n3, n3 * n3)
+    left = {}  # mu -> rows vec(T^mu_ji) K over the sector pairs (i, j)
     blocks = {}
     rows = {}
     for (mu, nu), labels in block_keys(d):
+        sm, sn = valid_sectors(mu, d), valid_sectors(nu, d)
+        if mu not in left:
+            left[mu] = np.array([table.intertwiners[(mu, j, i)].ravel()
+                                 for i in sm for j in sm]) @ realigned
+        right = np.array([table.intertwiners_conj_first[(nu, l, k)].ravel()
+                          for k in sn for l in sn])
+        g = (left[mu] @ right.T).reshape(len(sm), len(sm), len(sn), len(sn))  # [i, j, k, l]
         n = len(labels)
-        b = np.zeros((n, n), dtype=complex)
-        norm = table.dim(mu) * table.dim(nu)
-        for a, (i, k) in enumerate(labels):
-            for c, (j, l) in enumerate(labels):
-                tm = table.intertwiners[(mu, j, i)].reshape([d] * 6)
-                tn = table.intertwiners_conj_first[(nu, l, k)].reshape([d] * 6)
-                # Tr[(Tm (x) Tn) R]: Tm pairs triple-1 row/col, Tn triple-2.
-                val = np.einsum("abcdef,ghijkl,defjklabcghi->",
-                                tm, tn, r12, optimize=True)
-                b[a, c] = val / norm
-        blocks[(mu, nu)] = b
+        blocks[(mu, nu)] = g.transpose(0, 2, 1, 3).reshape(n, n) / (table.dim(mu) * table.dim(nu))
         rows[(mu, nu)] = labels
     return IrrepBlocks(d=d, blocks=blocks, rows=rows)
 

@@ -11,10 +11,17 @@ the objective folded into the affine step.
 Internally the blocks are rescaled as Y^{mu nu} = d_mu d_nu X^{mu nu}, which
 preserves the PSD cone and removes the large coefficient spread from the
 constraints; the reported maximizer is unscaled back to X.
+
+The real coordinates of a block set are an isometry of the Frobenius inner
+product: for Hermitian block sets F and X, <flatten(F), flatten(X)> =
+Re sum_{mu nu} Tr[F^{mu nu} X^{mu nu}].  So the objective and every
+constraint row are written as the flattened coefficient blocks F of their
+linear functional.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,84 +55,73 @@ class _HermitianBlockSpace:
     sqrt(2)-scaled (re, im) pairs for the upper triangle; the scaling makes
     the coordinate map an isometry, so Euclidean projections in coordinates
     are projections in the Frobenius norm.
+
+    Internally the entries of all blocks form one complex vector in which
+    blocks of equal size sit next to each other, so each size is one stack
+    of matrices.  ``__init__`` alone knows the coordinate layout: it builds
+    the index arrays both ways between that vector and the coordinates.
     """
 
     def __init__(self, keys):
         self.keys = [k for k, _ in keys]
-        self.rows = {k: labels for k, labels in keys}
-        self.sizes = [len(labels) for _, labels in keys]
-        self.offsets = []
-        off = 0
-        for n in self.sizes:
-            self.offsets.append(off)
-            off += n * n
-        self.dim = off
-        self._offdiag_pos = {}
-        for key, n in zip(self.keys, self.sizes):
-            pos = {}
-            p = 0
+        self.rows = dict(keys)
+        sizes = [len(labels) for _, labels in keys]
+        self.dim = sum(n * n for n in sizes)
+        # entry vector: blocks stably sorted by size, each block row-major
+        order = sorted(range(len(keys)), key=sizes.__getitem__)
+        start = dict(zip(order, itertools.accumulate((sizes[b] ** 2 for b in order), initial=0)))
+        self._blocks = {self.keys[b]: (start[b], sizes[b]) for b in order}
+        self._stacks = []  # (n, lo, hi): the entries of all n x n blocks
+        for n in sorted(set(sizes)):
+            lo = min(start[b] for b in order if sizes[b] == n)
+            self._stacks.append((n, lo, lo + sizes.count(n) * n * n))
+
+        # coordinate p = _scl[p] times component _src[p] of the entry vector
+        # read as interleaved (re, im) floats; coordinates are appended in order
+        src, scl = [], []
+        # entry e = _mul[e] times the coordinates _take[e] of its (re, im);
+        # coordinate ``dim`` reads a constant zero (imaginary part of a diagonal)
+        take = [None] * self.dim
+        mul = [None] * self.dim
+        half = 1.0 / np.sqrt(2)
+        for b, n in enumerate(sizes):
+            entry = [[start[b] + a * n + c for c in range(n)] for a in range(n)]
             for a in range(n):
-                for b in range(a + 1, n):
-                    pos[(a, b)] = p
-                    p += 1
-            self._offdiag_pos[key] = pos
+                take[entry[a][a]], mul[entry[a][a]] = (len(src), self.dim), (1.0, 0.0)
+                src.append(2 * entry[a][a])
+                scl.append(1.0)
+            for a in range(n):
+                for c in range(a + 1, n):
+                    take[entry[a][c]] = take[entry[c][a]] = (len(src), len(src) + 1)
+                    mul[entry[a][c]], mul[entry[c][a]] = (half, half), (half, -half)
+                    src += [2 * entry[a][c], 2 * entry[a][c] + 1]
+                    scl += [np.sqrt(2)] * 2
+        self._src, self._scl = np.array(src), np.array(scl)
+        self._take, self._mul = np.array(take), np.array(mul)
+
+    def _entries(self, x: np.ndarray) -> np.ndarray:
+        return (np.append(x, 0.0)[self._take] * self._mul).view(complex).reshape(-1)
+
+    def _coords(self, entries: np.ndarray) -> np.ndarray:
+        return entries.view(float)[self._src] * self._scl
 
     def unflatten(self, x: np.ndarray) -> dict:
-        out = {}
-        for key, n, off in zip(self.keys, self.sizes, self.offsets):
-            v = x[off:off + n * n]
-            m = np.zeros((n, n), dtype=complex)
-            for a in range(n):
-                m[a, a] = v[a]
-            idx = n
-            for a in range(n):
-                for b in range(a + 1, n):
-                    m[a, b] = (v[idx] + 1j * v[idx + 1]) / np.sqrt(2)
-                    m[b, a] = m[a, b].conjugate()
-                    idx += 2
-            out[key] = m
-        return out
+        e = self._entries(x)
+        return {key: e[s:s + n * n].reshape(n, n)
+                for key in self.keys for s, n in [self._blocks[key]]}
 
     def flatten(self, mats: dict) -> np.ndarray:
-        x = np.zeros(self.dim)
-        for key, n, off in zip(self.keys, self.sizes, self.offsets):
-            m = mats[key]
-            for a in range(n):
-                x[off + a] = m[a, a].real
-            idx = off + n
-            for a in range(n):
-                for b in range(a + 1, n):
-                    x[idx] = np.sqrt(2) * m[a, b].real
-                    x[idx + 1] = np.sqrt(2) * m[a, b].imag
-                    idx += 2
-        return x
-
-    def entry_functionals(self, key, ik, jl) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate vectors giving Re and Im of entry (ik, jl) of a block."""
-        labels = self.rows[key]
-        bidx = self.keys.index(key)
-        n, off = self.sizes[bidx], self.offsets[bidx]
-        a, b = labels.index(ik), labels.index(jl)
-        vre = np.zeros(self.dim)
-        vim = np.zeros(self.dim)
-        if a == b:
-            vre[off + a] = 1.0
-            return vre, vim
-        lo, hi = min(a, b), max(a, b)
-        idx = off + n + 2 * self._offdiag_pos[key][(lo, hi)]
-        sign = 1.0 if a < b else -1.0
-        vre[idx] = 1 / np.sqrt(2)
-        vim[idx + 1] = sign / np.sqrt(2)
-        return vre, vim
+        return self._coords(np.concatenate([mats[key] for key in self._blocks],
+                                           axis=None, dtype=complex))
 
     def psd_project(self, x: np.ndarray) -> np.ndarray:
-        mats = self.unflatten(x)
-        out = {}
-        for key, m in mats.items():
-            w, v = np.linalg.eigh(m)
+        e = self._entries(x)
+        out = []
+        for n, lo, hi in self._stacks:
+            w, v = np.linalg.eigh(e[lo:hi].reshape(-1, n, n))
             np.clip(w, 0, None, out=w)
-            out[key] = (v * w) @ v.conj().T
-        return self.flatten(out)
+            out.append((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
+        return self._coords(np.concatenate(out, axis=None))
 
 
 @dataclass(frozen=True)
@@ -165,49 +161,42 @@ def build_problem(d: int, task: str) -> OptimizationProblem:
     space = _HermitianBlockSpace(keys)
     scale = {key: dims[key[0]] * dims[key[1]] for key, _ in keys}
 
-    c = np.zeros(space.dim)
-    for mu in MU_LABELS:
-        signs = valid_sectors(mu, d)
-        if not signs:
-            continue
-        for i in signs:
-            for j in signs:
-                vre, _ = space.entry_functionals((mu, mu), (i, i), (j, j))
-                c += dims[mu] * vre / (d**4 * scale[(mu, mu)])
+    def coefficients(terms):
+        """Coordinates of the functional X -> Re sum w X^{key}_{ik,jl} over
+        (key, ik, jl, w) terms: space.flatten of the Hermitian block set F
+        with Re sum Tr[F X] equal to it."""
+        f = {key: np.zeros((len(labels),) * 2, dtype=complex) for key, labels in keys}
+        for key, ik, jl, w in terms:
+            a, b = space.rows[key].index(ik), space.rows[key].index(jl)
+            f[key][b, a] += w / 2
+            f[key][a, b] += np.conj(w) / 2
+        return space.flatten(f)
 
-    rows = []
-    rhs = []
+    c = coefficients(((mu, mu), (i, i), (j, j), dims[mu] / (d**4 * scale[(mu, mu)]))
+                     for mu in MU_LABELS for i in valid_sectors(mu, d)
+                     for j in valid_sectors(mu, d))
     if task == "clone":
-        # sum_{mu nu} d_mu d_nu sum_k X_{(ik),(ik)} = d_i d  for i = +/-
-        for i in "+-":
-            v = np.zeros(space.dim)
-            for mu in MU_LABELS:
-                if i not in valid_sectors(mu, d):
-                    continue
-                for nu in MU_LABELS:
-                    for k in valid_sectors(nu, d):
-                        vre, _ = space.entry_functionals((mu, nu), (i, k), (i, k))
-                        v += vre  # d_mu d_nu cancels against the block scale
-            rows.append(v)
-            rhs.append(sec[i] * d)
+        # sum_{mu nu} d_mu d_nu sum_k X_{(ik),(ik)} = d_i d  for i = +/-;
+        # d_mu d_nu cancels against the block scale
+        rows = [coefficients(((mu, nu), (i, k), (i, k), 1.0)
+                             for mu in MU_LABELS if i in valid_sectors(mu, d)
+                             for nu in MU_LABELS for k in valid_sectors(nu, d))
+                for i in "+-"]
+        rhs = [sec[i] * d for i in "+-"]
     else:
-        # sum_nu d_nu sum_k X_{(ik),(jk)} = delta_ij  for each mu and valid i, j
+        # sum_nu d_nu sum_k X_{(ik),(jk)} = delta_ij  for each mu and valid i, j:
+        # its real part, and off the diagonal its imaginary part (weight -i)
+        rows = []
+        rhs = []
         for mu in MU_LABELS:
             signs = valid_sectors(mu, d)
             for i in signs:
                 for j in signs:
-                    vre = np.zeros(space.dim)
-                    vim = np.zeros(space.dim)
-                    for nu in MU_LABELS:
-                        for k in valid_sectors(nu, d):
-                            r, im = space.entry_functionals((mu, nu), (i, k), (j, k))
-                            vre += r / dims[mu]
-                            vim += im / dims[mu]
-                    rows.append(vre)
-                    rhs.append(float(i == j))
-                    if i != j and np.abs(vim).max() > 0:
-                        rows.append(vim)
-                        rhs.append(0.0)
+                    for w in (1.0,) if i == j else (1.0, -1j):
+                        rows.append(coefficients(((mu, nu), (i, k), (j, k), w / dims[mu])
+                                                 for nu in MU_LABELS
+                                                 for k in valid_sectors(nu, d)))
+                        rhs.append(float(i == j))
 
     x0 = _feasible_diagonal_start(d, task, space, dims, sec)
     return OptimizationProblem(

@@ -84,32 +84,30 @@ class GateBases:
         return (self.basis1, self.basis2)[basis][symbol]
 
 
-def _norm2(v: np.ndarray) -> float:
-    return float(np.vdot(v, v).real)
-
-
-def _prob(basis_vec: np.ndarray, state_vec: np.ndarray) -> float:
-    """|<basis|state>|^2 with both vectors normalized by their own norms."""
-    amp = np.vdot(basis_vec, state_vec)
-    return float((amp.real * amp.real + amp.imag * amp.imag)
-                 / (_norm2(basis_vec) * _norm2(state_vec)))
-
-
 def _on_travel(gate: np.ndarray, pair: np.ndarray, travel_first: bool) -> np.ndarray:
-    """Apply a gate to the traveling factor of a two-qubit vector."""
+    """Apply a gate, or a stack of gates, to the traveling factor of a
+    two-qubit vector."""
     m = pair.reshape(2, 2)
-    return (gate @ m if travel_first else m @ gate.T).reshape(-1)
+    out = gate @ m if travel_first else m @ np.swapaxes(gate, -1, -2)
+    return out.reshape(*np.shape(gate)[:-2], 4)
+
+
+def _states(bases: GateBases, pair: np.ndarray, travel_first: bool) -> np.ndarray:
+    """``states[b, mu]``: ``pair`` carrying gate mu of basis b."""
+    return _on_travel(np.array([bases.basis1, bases.basis2]), pair, travel_first)
+
+
+def _overlaps(vecs: np.ndarray) -> np.ndarray:
+    """``o[a, m, b, n] = |<v_am|v_bn>|^2 / (|v_am|^2 |v_bn|^2)`` over a stack
+    ``vecs[a, m]`` of vectors."""
+    amp = np.einsum("amk,bnk->ambn", vecs.conj(), vecs)
+    norm2 = np.einsum("amk,amk->am", vecs.conj(), vecs).real
+    return (amp.real * amp.real + amp.imag * amp.imag) / (norm2[:, :, None, None] * norm2)
 
 
 def mutual_unbiasedness_matrix(bases: GateBases) -> np.ndarray:
     """4 x 4 overlap table between the two induced Bell-type state bases."""
-    out = np.zeros((4, 4))
-    for mu in range(4):
-        v2 = _on_travel(bases.basis2[mu], bases.bell_raw, travel_first=False)
-        for nu in range(4):
-            v1 = _on_travel(bases.basis1[nu], bases.bell_raw, travel_first=False)
-            out[mu, nu] = _prob(v2, v1)
-    return out
+    return _overlaps(_states(bases, bases.bell_raw, travel_first=False))[1, :, 0, :]
 
 
 def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> GateBases:
@@ -127,7 +125,7 @@ def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> Gat
         raw = np.asarray(bell_state, dtype=complex).reshape(-1)
         if raw.shape != (4,):
             raise ValueError(f"bell state must have 4 amplitudes, got {raw.shape}")
-    bell = raw / np.sqrt(_norm2(raw))
+    bell = raw / np.sqrt(np.vdot(raw, raw).real)
     rho = np.outer(bell, bell.conj())
     for factor in (0, 1):
         red = partial_trace(rho, [2, 2], keep=[factor])
@@ -180,41 +178,6 @@ def _eve_pair() -> np.ndarray:
     return np.eye(2, dtype=complex).reshape(-1)
 
 
-def _bob_vectors(bases: GateBases, basis: int) -> list[np.ndarray]:
-    """Bob's measurement basis: the four honest outcome states."""
-    gates = (bases.basis1, bases.basis2)[basis]
-    return [_on_travel(g, bases.bell_raw, travel_first=False) for g in gates]
-
-
-def _eve_vectors(bases: GateBases, basis: int) -> list[np.ndarray]:
-    gates = (bases.basis1, bases.basis2)[basis]
-    return [_on_travel(g, _eve_pair(), travel_first=True) for g in gates]
-
-
-def _bob_table(bases: GateBases) -> np.ndarray:
-    """p[b, c, k, nu]: Bob measuring in basis b returns nu when the returned
-    pair carries gate k of basis c (Alice's own, or Eve's re-encoding)."""
-    vecs = [_bob_vectors(bases, b) for b in range(2)]
-    out = np.zeros((2, 2, 4, 4))
-    for b in range(2):
-        for c in range(2):
-            out[b, c] = [[_prob(v, w) for v in vecs[b]] for w in vecs[c]]
-    return out
-
-
-def _eve_table(bases: GateBases) -> np.ndarray:
-    """p[b, mu, be, nh]: Eve's intercept outcome nh when Alice encoded (b, mu)
-    and Eve measured in basis be."""
-    out = np.zeros((2, 4, 2, 4))
-    for b in range(2):
-        for be in range(2):
-            evecs = _eve_vectors(bases, be)
-            for mu in range(4):
-                evolved = _on_travel(bases.gate(b, mu), _eve_pair(), travel_first=True)
-                out[b, mu, be] = [_prob(v, evolved) for v in evecs]
-    return out
-
-
 def _clone_attack_joint(bases: GateBases) -> np.ndarray:
     """Exact joint outcome table of the cloning attack.
 
@@ -232,8 +195,8 @@ def _clone_attack_joint(bases: GateBases) -> np.ndarray:
     """
     r1 = choi_r1_of_cloner(2)
     psi = np.kron(bases.bell, _eve_pair() / np.sqrt(2)).reshape(2, 4, 2)
-    bob = np.array([_bob_vectors(bases, b) for b in range(2)])
-    eve = np.array([_eve_vectors(bases, b) for b in range(2)])
+    bob = _states(bases, bases.bell_raw, travel_first=False)
+    eve = _states(bases, _eve_pair(), travel_first=True)
     bob = (bob / np.linalg.norm(bob, axis=-1, keepdims=True)).reshape(2, 4, 2, 2)
     eve = (eve / np.linalg.norm(eve, axis=-1, keepdims=True)).reshape(2, 4, 2, 2)
     # factors after the channel: (K, 3B, 3E, R); Bob holds (K, 3B), Eve (3E, R)
@@ -246,14 +209,18 @@ def _clone_attack_joint(bases: GateBases) -> np.ndarray:
 
 def _joint_table(strategy: str, bases: GateBases) -> np.ndarray:
     """``joint[b, mu, nu_bob, nu_eve]`` of one strategy; Eve's guess is nu_eve."""
-    if strategy == "none":
-        # Bob reads Alice's own gate; Eve guesses blind
-        return np.einsum("bbmv->bmv", _bob_table(bases))[..., None] * np.full(4, 0.25)
-    if strategy == "intercept_resend":
-        # Eve re-encodes and guesses her own outcome nh, in either basis be
-        return 0.5 * np.einsum("amen,aenv->amvn", _eve_table(bases), _bob_table(bases))
     if strategy == "clone_attack":
         return _clone_attack_joint(bases)
+    # bob[a, v, e, n]: Bob measuring in basis a reads v off the pair carrying gate (e, n)
+    bob = _overlaps(_states(bases, bases.bell_raw, travel_first=False))
+    if strategy == "none":
+        # Bob reads Alice's own gate; Eve guesses blind
+        return np.einsum("bvbm->bmv", bob)[..., None] * np.full(4, 0.25)
+    if strategy == "intercept_resend":
+        # Eve measures her pair in basis e with outcome n, re-encodes gate (e, n)
+        # for Bob, and guesses n
+        eve = _overlaps(_states(bases, _eve_pair(), travel_first=True))
+        return 0.5 * np.einsum("enam,aven->amvn", eve, bob)
     raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
 

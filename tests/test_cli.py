@@ -133,6 +133,7 @@ def test_full_suite_corruption_hook(capsys, monkeypatch):
     failing = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failing  # named failing checks are listed
     assert any("covariance" in line or "insert" in line for line in failing)
+    assert any(line.startswith("PASS  comb_finite_d2 ") for line in out.splitlines())
 
 
 def test_full_suite_nan_corruption_fails_named_checks(capsys, monkeypatch):
@@ -144,6 +145,9 @@ def test_full_suite_nan_corruption_fails_named_checks(capsys, monkeypatch):
     for name in ("insert_gate_vs_closed_form_choi_d2", "comb_covariance_d2"):
         assert by_name[name]["passed"] is False
         assert by_name[name]["residual"] != by_name[name]["residual"]  # NaN
+    # entries [0, 1] and [1, 0]
+    assert by_name["comb_finite_d2"]["passed"] is False
+    assert by_name["comb_finite_d2"]["residual"] == 2.0
 
 
 def test_verify_cloner_nan_corruption_fails(capsys, monkeypatch):
@@ -151,7 +155,7 @@ def test_verify_cloner_nan_corruption_fails(capsys, monkeypatch):
     code, doc = run_json(capsys, ["verify-cloner", "--d", "2", "--samples", "2", "--json"])
     assert code == 1
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
-    assert {"insert_gate_vs_closed_form_choi", "comb_covariance"} <= failed
+    assert {"comb_finite", "insert_gate_vs_closed_form_choi", "comb_covariance"} <= failed
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -194,7 +198,7 @@ def test_full_suite_runs_every_verify_cloner_check(capsys):
     _, single = run_json(capsys, ["verify-cloner", "--d", "2", "--json"])
     _, suite = run_json(capsys, ["full-suite", "--quick", "--json"])
     suite_tol = {c["name"]: c["tolerance"] for c in suite["checks"]}
-    assert len(single["checks"]) == 15
+    assert len(single["checks"]) == 16
     for check in single["checks"]:
         assert suite_tol[check["name"] + "_d2"] == check["tolerance"], check["name"]
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clonelab.channels import comb_fidelity_functional
-from clonelab.cloner import choi_r1_of_cloner, closed_form_fidelity, first_factor_network
+from clonelab.cloner import (choi_r1_of_cloner, choi_r1_of_decohered_cloner, closed_form_fidelity,
+                            first_factor_network)
 from clonelab.haar import SeededRng, sample_haar_unitary
 from clonelab.irreps import (
     IrrepBlocks,
@@ -20,6 +21,26 @@ from clonelab.irreps import (
     verify_covariance,
 )
 from clonelab.linalg import dagger, max_abs, tensor
+
+
+def reference_blocks_from_choi(choi, table):
+    """Block extraction by one 12-index contraction per entry, without the
+    covariance guard: the loop the realigned products replaced."""
+    d = table.d
+    r12 = choi.reshape([d] * 12)
+    blocks = {}
+    for (mu, nu), labels in block_keys(d):
+        n = len(labels)
+        b = np.zeros((n, n), dtype=complex)
+        norm = table.dim(mu) * table.dim(nu)
+        for a, (i, k) in enumerate(labels):
+            for c, (j, l) in enumerate(labels):
+                tm = table.intertwiners[(mu, j, i)].reshape([d] * 6)
+                tn = table.intertwiners_conj_first[(nu, l, k)].reshape([d] * 6)
+                val = np.einsum("abcdef,ghijkl,defjklabcghi->", tm, tn, r12, optimize=True)
+                b[a, c] = val / norm
+        blocks[(mu, nu)] = b
+    return blocks
 
 
 @pytest.mark.parametrize("d,ranks", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
@@ -217,3 +238,18 @@ def test_build_irrep_table_rejects_unsupported_dimension():
     for bad in (1, 5):
         with pytest.raises(ValueError):
             build_irrep_table(bad)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocks_from_choi_matches_per_entry_reference(d):
+    table = build_irrep_table(d)
+    rng = np.random.default_rng(80 + d)
+    non_covariant = rng.standard_normal((d**6, d**6)) + 1j * rng.standard_normal((d**6, d**6))
+    operators = [(choi_r1_of_cloner(d).choi, 5), (choi_r1_of_decohered_cloner(d).choi, 5),
+                 (first_factor_network(d).choi, 5), (non_covariant, 0)]
+    for op, trials in operators:
+        blocks = blocks_from_choi(op, table, trials=trials)
+        ref = reference_blocks_from_choi(op, table)
+        assert list(blocks.blocks) == list(ref)
+        for key, block in ref.items():
+            assert max_abs(blocks.blocks[key] - block) <= 1e-12

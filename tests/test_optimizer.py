@@ -1,17 +1,149 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from clonelab import optimizer
 from clonelab.baselines import f_estimation, f_learning
 from clonelab.channels import CombNetwork, insert_gate, channel_fidelity_with_double_unitary
 from clonelab.cloner import closed_form_fidelity
 from clonelab.haar import SeededRng, haar_unitaries
-from clonelab.irreps import build_irrep_table, choi_from_blocks
+from clonelab.irreps import (MU_LABELS, block_keys, build_irrep_table, choi_from_blocks,
+                             irrep_dims, sector_dims, valid_sectors)
 from clonelab.optimizer import (
     ConvergenceError,
     analytic_bound,
     build_problem,
     solve,
 )
+
+
+# Reference oracles: the per-entry coordinate map and the entry-functional
+# assembly of the objective and constraints that the index-array block space
+# and the flattened coefficient blocks replaced.
+
+def reference_layout(space):
+    sizes = [len(space.rows[key]) for key in space.keys]
+    offsets = np.cumsum([0] + [n * n for n in sizes])[:-1]
+    return list(zip(space.keys, sizes, offsets))
+
+
+def reference_unflatten(space, x):
+    out = {}
+    for key, n, off in reference_layout(space):
+        v = x[off:off + n * n]
+        m = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            m[a, a] = v[a]
+        idx = n
+        for a in range(n):
+            for b in range(a + 1, n):
+                m[a, b] = (v[idx] + 1j * v[idx + 1]) / np.sqrt(2)
+                m[b, a] = m[a, b].conjugate()
+                idx += 2
+        out[key] = m
+    return out
+
+
+def reference_flatten(space, mats):
+    x = np.zeros(space.dim)
+    for key, n, off in reference_layout(space):
+        m = mats[key]
+        for a in range(n):
+            x[off + a] = m[a, a].real
+        idx = off + n
+        for a in range(n):
+            for b in range(a + 1, n):
+                x[idx] = np.sqrt(2) * m[a, b].real
+                x[idx + 1] = np.sqrt(2) * m[a, b].imag
+                idx += 2
+    return x
+
+
+def reference_entry_functionals(space, key, ik, jl):
+    """Coordinate vectors giving Re and Im of entry (ik, jl) of a block."""
+    n, off = next((n, off) for k, n, off in reference_layout(space) if k == key)
+    a, b = space.rows[key].index(ik), space.rows[key].index(jl)
+    vre = np.zeros(space.dim)
+    vim = np.zeros(space.dim)
+    if a == b:
+        vre[off + a] = 1.0
+        return vre, vim
+    lo, hi = min(a, b), max(a, b)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    idx = off + n + 2 * pairs.index((lo, hi))
+    sign = 1.0 if a < b else -1.0
+    vre[idx] = 1 / np.sqrt(2)
+    vim[idx + 1] = sign / np.sqrt(2)
+    return vre, vim
+
+
+def reference_psd_project(space, x):
+    out = {}
+    for key, m in reference_unflatten(space, x).items():
+        w, v = np.linalg.eigh(m)
+        np.clip(w, 0, None, out=w)
+        out[key] = (v * w) @ v.conj().T
+    return reference_flatten(space, out)
+
+
+class ReferenceBlockSpace(optimizer._HermitianBlockSpace):
+    """The block space with the per-entry reference maps swapped in."""
+
+    flatten = reference_flatten
+    unflatten = reference_unflatten
+    psd_project = reference_psd_project
+
+
+def reference_assembly(space, d, task):
+    """(objective, constraint rows, rhs) built from entry functionals."""
+    dims, sec = irrep_dims(d), sector_dims(d)
+    scale = {key: dims[key[0]] * dims[key[1]] for key in space.keys}
+    c = np.zeros(space.dim)
+    for mu in MU_LABELS:
+        for i in valid_sectors(mu, d):
+            for j in valid_sectors(mu, d):
+                vre, _ = reference_entry_functionals(space, (mu, mu), (i, i), (j, j))
+                c += dims[mu] * vre / (d**4 * scale[(mu, mu)])
+    rows, rhs = [], []
+    if task == "clone":
+        for i in "+-":
+            v = np.zeros(space.dim)
+            for mu in MU_LABELS:
+                if i not in valid_sectors(mu, d):
+                    continue
+                for nu in MU_LABELS:
+                    for k in valid_sectors(nu, d):
+                        v += reference_entry_functionals(space, (mu, nu), (i, k), (i, k))[0]
+            rows.append(v)
+            rhs.append(sec[i] * d)
+    else:
+        for mu in MU_LABELS:
+            signs = valid_sectors(mu, d)
+            for i in signs:
+                for j in signs:
+                    vre = np.zeros(space.dim)
+                    vim = np.zeros(space.dim)
+                    for nu in MU_LABELS:
+                        for k in valid_sectors(nu, d):
+                            r, im = reference_entry_functionals(space, (mu, nu), (i, k), (j, k))
+                            vre += r / dims[mu]
+                            vim += im / dims[mu]
+                    rows.append(vre)
+                    rhs.append(float(i == j))
+                    if i != j and np.abs(vim).max() > 0:
+                        rows.append(vim)
+                        rhs.append(0.0)
+    return c, np.array(rows), np.array(rhs)
+
+
+def random_hermitian_blocks(space, rng):
+    out = {}
+    for key in space.keys:
+        n = len(space.rows[key])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out[key] = g + g.conj().T
+    return out
 
 
 def test_problem_structure_d2_clone():
@@ -135,3 +267,64 @@ def test_tolerance_validation():
         build_problem(2, "copy")
     with pytest.raises(ValueError):
         build_problem(5, "clone")
+
+
+@pytest.mark.parametrize("task", ["clone", "learn"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_block_space_matches_reference_bitwise(d, task):
+    space = build_problem(d, task).space
+    rng = np.random.default_rng(10 * d + len(task))
+    x = rng.standard_normal(space.dim)
+    new, ref = space.unflatten(x), reference_unflatten(space, x)
+    assert list(new) == list(ref) == space.keys
+    for key in space.keys:
+        assert np.array_equal(new[key], ref[key])
+    for mats in (ref, random_hermitian_blocks(space, rng)):
+        assert np.array_equal(space.flatten(mats), reference_flatten(space, mats))
+    assert np.abs(space.psd_project(x) - reference_psd_project(space, x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("task", ["clone", "learn"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_problem_matches_entry_functional_assembly(d, task):
+    problem = build_problem(d, task)
+    c, rows, rhs = reference_assembly(problem.space, d, task)
+    assert np.abs(problem.objective - c).max() <= 1e-15
+    assert problem.constraints.shape == rows.shape
+    for new, ref in zip(problem.constraints, rows):
+        assert min(np.abs(new - ref).max(), np.abs(new + ref).max()) <= 1e-15
+    assert np.array_equal(problem.rhs, rhs)
+
+
+@pytest.mark.parametrize("task", ["clone", "learn"])
+def test_solve_on_reference_space_agrees(task, monkeypatch):
+    result = solve(build_problem(2, task), tol=1e-8)
+    monkeypatch.setattr(optimizer, "_HermitianBlockSpace", ReferenceBlockSpace)
+    problem = build_problem(2, task)
+    assert isinstance(problem.space, ReferenceBlockSpace)
+    ref = solve(problem, tol=1e-8)
+    assert result.iterations == ref.iterations
+    assert abs(result.optimal_value - ref.optimal_value) <= 1e-12
+    for key, block in ref.optimal_blocks.blocks.items():
+        assert np.abs(result.optimal_blocks.blocks[key] - block).max() <= 1e-12
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(d=st.sampled_from([2, 3, 4]), data=st.data())
+def test_block_coordinates_are_an_isometry(d, data):
+    space = optimizer._HermitianBlockSpace(block_keys(d))
+    x = data.draw(arrays(np.float64, space.dim, elements=st.floats(-1e3, 1e3)))
+    # x -> x / sqrt(2) -> x rounds: equal to within one ulp, not bitwise
+    assert (np.abs(space.flatten(space.unflatten(x)) - x) <= np.spacing(np.abs(x))).all()
+
+    def hermitian_blocks():
+        out = {}
+        for key in space.keys:
+            n = len(space.rows[key])
+            g = data.draw(arrays(np.float64, (2, n, n), elements=st.floats(-1.0, 1.0)))
+            out[key] = g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T
+        return out
+
+    a, b = hermitian_blocks(), hermitian_blocks()
+    inner = sum(np.trace(a[key] @ b[key]).real for key in space.keys)
+    assert abs(space.flatten(a) @ space.flatten(b) - inner) <= 1e-12

@@ -29,6 +29,13 @@ def random_max_entangled(rng_index):
 # cloning-attack table that the joint-table engine replaced, on vectors built
 # with explicit Kronecker products.
 
+def reference_prob(basis_vec, state_vec):
+    """|<basis|state>|^2 with both vectors normalized by their own norms."""
+    amp = np.vdot(basis_vec, state_vec)
+    return float((amp.real * amp.real + amp.imag * amp.imag)
+                 / (np.vdot(basis_vec, basis_vec).real * np.vdot(state_vec, state_vec).real))
+
+
 def reference_on_travel(gate, pair, travel_first):
     op = tensor(gate, np.eye(2)) if travel_first else tensor(np.eye(2), gate)
     return op @ pair
@@ -53,13 +60,13 @@ def reference_intercept_tables(bases):
             evecs = reference_eve_vectors(bases, be)
             for mu in range(4):
                 evolved = reference_on_travel(bases.gate(b, mu), eve_pair, True)
-                p_eve[b, mu, be] = [protocol._prob(v, evolved) for v in evecs]
+                p_eve[b, mu, be] = [reference_prob(v, evolved) for v in evecs]
     for b in range(2):
         bvecs = reference_bob_vectors(bases, b)
         for be in range(2):
             for nh in range(4):
                 resent = reference_on_travel(bases.gate(be, nh), bases.bell_raw, False)
-                p_bob[b, be, nh] = [protocol._prob(v, resent) for v in bvecs]
+                p_bob[b, be, nh] = [reference_prob(v, resent) for v in bvecs]
     return p_eve, p_bob
 
 
@@ -94,7 +101,7 @@ def reference_run_exact(strategy, bases):
         for b in range(2):
             bvecs = reference_bob_vectors(bases, b)
             for mu in range(4):
-                ser_sum += 1.0 - protocol._prob(bvecs[mu], bvecs[mu])
+                ser_sum += 1.0 - reference_prob(bvecs[mu], bvecs[mu])
         return ser_sum / 8.0, 0.25
     if strategy == "intercept_resend":
         p_eve, p_bob = reference_intercept_tables(bases)
@@ -163,13 +170,26 @@ def test_honest_correctness_per_cell():
     # every matched-basis measurement returns the encoded symbol with
     # probability exactly one
     bases = build_bases()
+    bob = protocol._overlaps(protocol._states(bases, bases.bell_raw, travel_first=False))
     for b in range(2):
-        vecs = protocol._bob_vectors(bases, b)
-        for mu in range(4):
-            assert protocol._prob(vecs[mu], vecs[mu]) == 1.0
-            for nu in range(4):
-                if nu != mu:
-                    assert protocol._prob(vecs[nu], vecs[mu]) == 0.0
+        assert np.array_equal(bob[b, :, b, :], np.eye(4))
+
+
+def test_overlap_tables_match_per_pair_reference():
+    for seed in (None, random_max_entangled(5)):
+        bases = build_bases(seed)
+        for pair, travel_first in ((bases.bell_raw, False), (np.eye(2).reshape(-1), True)):
+            vecs = protocol._states(bases, pair, travel_first)
+            ref = [[reference_on_travel(bases.gate(b, mu), pair, travel_first)
+                    for mu in range(4)] for b in range(2)]
+            assert max_abs(vecs - np.array(ref)) < 1e-15
+            overlaps = protocol._overlaps(vecs)
+            for a, m, b, n in np.ndindex(2, 4, 2, 4):
+                ref_p = reference_prob(ref[a][m], ref[b][n])
+                if seed is None:
+                    assert overlaps[a, m, b, n] == ref_p
+                else:
+                    assert abs(overlaps[a, m, b, n] - ref_p) < 1e-15
 
 
 def test_honest_exact_for_random_seed_state():
