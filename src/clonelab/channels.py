@@ -266,6 +266,12 @@ def comb_from_pre_post(pre: Channel, post: Channel, d: int, memory_dim: int,
 
     The two Choi operators are contracted over the memory factor M (a link
     with a transpose on the shared factor), leaving the six comb factors.
+
+    With r1, c1 indexing the row and column factors (0B, 0E, 1) and r2, c2
+    the factors (2, 3B, 3E), the link is a sum of m^2 products,
+    R[r1 r2, c1 c2] = sum_{MN} pre[(r1, M), (c1, N)] post[(r2, M), (c2, N)].
+    Each row slab r1 is one batched product with inner dimension m^2, written
+    straight into the output, so the comb is the only operator-sized array.
     """
     m = int(memory_dim)
     if pre.dim_in != d * d or pre.dim_out != d * m:
@@ -276,10 +282,15 @@ def comb_from_pre_post(pre: Channel, post: Channel, d: int, memory_dim: int,
         raise DimensionMismatchError(
             f"post-channel dims ({post.dim_in}->{post.dim_out}) != ({d * m}->{d * d})"
         )
+    n3 = d**3
     a8 = pre.choi.reshape(d, m, d, d, d, m, d, d)   # ((1,M),(0B,0E)) row, col
     b8 = post.choi.reshape(d, d, d, m, d, d, d, m)  # ((3B,3E),(2,M)) row, col
-    r12 = np.einsum("jMxXkNyY,wWuMtTvN->xXjuwWyYkvtT", a8, b8, optimize=True)
-    comb = CombNetwork(choi=r12.reshape(d**6, d**6), d=d)
+    a = a8.transpose(1, 5, 2, 3, 0, 6, 7, 4).reshape(m * m, n3, n3)  # [MN, r1, c1]
+    b = b8.transpose(2, 0, 1, 3, 7, 6, 4, 5).reshape(n3, m * m, n3)  # [r2, MN, c2]
+    out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
+    for r1 in range(n3):
+        np.matmul(a[:, r1].T, b, out=out[r1])
+    comb = CombNetwork(choi=out.reshape(d**6, d**6), d=d)
     if validate:
         # linking PSD Chois preserves positivity, so only the normalization
         # needs confirming here; d = 4 would otherwise pay a 4096-dim eigensolve
@@ -347,11 +358,25 @@ def comb_fidelity_functional(choi: np.ndarray, u: np.ndarray, d: int) -> float:
     skips the intermediate channel; also meaningful for non-normalized
     covariant operators, where it evaluates the same quadratic functional.
     """
-    u = as_matrix(u)
-    t1 = u.T.copy()     # pair (0B, 3B): component [x, a] = U[a, x]
-    t3 = u.conj().T     # pair (1, 2):  component [c, e] = conj(U[e, c])
-    w = np.einsum("xa,yb,ce->xyceab", t1, t1, t3).reshape(-1)
+    w = _functional_vectors(as_matrix(u)[None])[0]
     return float(np.real(w.conj() @ as_matrix(choi) @ w)) / d**4
+
+
+def comb_fidelity_functional_batch(choi: np.ndarray, us: np.ndarray, d: int) -> np.ndarray:
+    """``comb_fidelity_functional`` for each gate of the stack ``us`` (n, d, d).
+
+    Stacks the vectors w_u as the rows of W and takes Re diag(W* R W^T) / d^4,
+    so the operator R is read once for the whole stack.
+    """
+    w = _functional_vectors(np.asarray(us, dtype=complex))
+    return np.real(np.einsum("si,is->s", w.conj(), as_matrix(choi) @ w.T)) / d**4
+
+
+def _functional_vectors(us: np.ndarray) -> np.ndarray:
+    """Rows w_u with R's fidelity functional w_u^* R w_u, for a stack (n, d, d)."""
+    t1 = np.swapaxes(us, 1, 2)  # pair (0B, 3B): component [x, a] = U[a, x]
+    t3 = t1.conj()              # pair (1, 2):  component [c, e] = conj(U[e, c])
+    return np.einsum("sxa,syb,sce->sxyceab", t1, t1, t3).reshape(len(us), -1)
 
 
 def channel_to_json_dict(channel: Channel) -> dict:

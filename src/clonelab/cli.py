@@ -198,8 +198,7 @@ def cmd_verify_cloner(args) -> int:
     d, rng, assembly = args.d, SeededRng(args.seed), cn.build_cloner(args.d)
     gates = list(haar_unitaries(d, max(1, min(args.samples, 20)), rng.substream(1)))
     closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
-    # runtime cap: every Monte Carlo draw reads the whole d = 4 comb
-    mc_samples = min(args.samples, 200 if d <= 3 else 20)
+    mc_samples = min(args.samples, 200)
     f_ref = cn.closed_form_fidelity(d)
     info = {"d": d, "f_clon_closed_form": f_ref}
     checks = _run(itertools.chain(_gate_battery(d, gates, closed, rng, info),

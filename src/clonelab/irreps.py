@@ -84,11 +84,6 @@ def valid_sectors(mu: str, d: int) -> tuple[str, ...]:
     raise ValueError(f"unknown irrep label {mu!r}")
 
 
-def block_row_labels(d: int) -> list[tuple[str, str]]:
-    """All valid (irrep, sector) pairs at this dimension."""
-    return [(mu, s) for mu in MU_LABELS for s in valid_sectors(mu, d)]
-
-
 @dataclass(frozen=True)
 class IrrepTable:
     """Projectors and intertwiners of the triple-space decomposition.
@@ -189,17 +184,33 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
 
     A residual at the numerical floor (<= 1e-9) certifies covariance; a
     genuinely non-covariant operator shows up orders of magnitude above it.
+
+    The group element ``covariance_group_element(d, v, w)`` is A (x) B, with
+    A = V (x) V (x) V* on (0B, 0E, 1) and B = W* (x) W (x) W on (2, 3B, 3E),
+    and it is never built.  With m indexed [r1, r2, c1, c2] over the two
+    triples, the row slab r1 of m g needs only m[r1] (B on c2, then A on
+    c1), and that of g m is A[r1] Z with Z = (I (x) B) m, so the one
+    operator-sized temporary is Z, reused across trials.
     """
     m = as_matrix(m)
     if m.shape != (d**6, d**6):
         raise ValueError(f"expected a {d**6} x {d**6} operator, got {m.shape}")
     rng = rng or SeededRng(0)
+    n3 = d**3
+    m4 = m.reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
+    z = np.empty((n3, n3, n3 * n3), dtype=complex)  # [r1, r2, (c1 c2)]
+    z_rows = z.reshape(n3, -1)
     residuals = []
     for i in range(trials):
         v = sample_haar_unitary(d, rng.substream(2 * i))
         w = sample_haar_unitary(d, rng.substream(2 * i + 1))
-        g = covariance_group_element(d, v, w)
-        residuals.append(max_abs(m @ g - g @ m))
+        a = tensor(v, v, v.conj())
+        b = tensor(w.conj(), w, w)
+        np.matmul(b, m4.reshape(n3, n3, n3 * n3), out=z)
+        for r1 in range(n3):
+            mg = np.matmul(a.T, m4[r1] @ b)  # [r2, c1, c2]
+            gm = (a[r1] @ z_rows).reshape(n3, n3, n3)
+            residuals.append(max_abs(mg - gm))
     return worst(residuals)
 
 
@@ -220,18 +231,6 @@ class IrrepBlocks:
     def entry(self, mu: str, nu: str, ik: tuple[str, str], jl: tuple[str, str]) -> complex:
         r = self.rows[(mu, nu)]
         return complex(self.blocks[(mu, nu)][r.index(ik), r.index(jl)])
-
-    def as_matrix(self) -> np.ndarray:
-        """Direct sum of the blocks over the (mu, nu) keys in canonical order."""
-        keys = sorted(self.blocks)
-        n = sum(self.blocks[k].shape[0] for k in keys)
-        out = np.zeros((n, n), dtype=complex)
-        off = 0
-        for k in keys:
-            b = self.blocks[k]
-            out[off:off + b.shape[0], off:off + b.shape[0]] = b
-            off += b.shape[0]
-        return out
 
     def hermiticity_residual(self) -> float:
         return worst(max_abs(b - b.conj().T) for b in self.blocks.values())

@@ -27,7 +27,7 @@ from clonelab.cloner import (
 from clonelab.channels import apply_channel
 from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import sector_dims, sym_antisym_projectors, verify_covariance
-from clonelab.linalg import max_abs, partial_trace
+from clonelab.linalg import max_abs, partial_trace, worst
 from clonelab.optimizer import analytic_bound, build_problem, solve
 from clonelab.protocol import (
     CLONE_ATTACK_EVE_GUESS,
@@ -46,92 +46,94 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_closed_form_fidelity():
     start = time.perf_counter()
-    worst = 0.0
+    residuals = []
     for d in (2, 3, 4):
         expected = (d + np.sqrt(d * d - 1.0)) / d**3
         u = sample_haar_unitary(d, SeededRng(d))
         for gate in (np.eye(d), u):
             fid = channel_fidelity_with_double_unitary(cloner_channel(gate), gate)
-            worst = max(worst, abs(fid - expected))
+            residuals.append(abs(fid - expected))
     fid2 = channel_fidelity_with_double_unitary(cloner_channel(np.eye(2)), np.eye(2))
-    worst = max(worst, abs(fid2 - 0.46650635094610965))
+    residuals.append(abs(fid2 - 0.46650635094610965))
+    residual = worst(residuals)
     elapsed = time.perf_counter() - start
     report(
         "1 (closed-form optimal fidelity)",
-        worst < 1e-9 and elapsed < 10.0,
-        f"worst residual {worst:.2e} over d=2,3,4; {elapsed:.2f}s",
+        residual < 1e-9 and elapsed < 10.0,
+        f"worst residual {residual:.2e} over d=2,3,4; {elapsed:.2f}s",
     )
 
 
 def test_criterion_2_optimizer_reproduces_cloning_bound():
-    worst = 0.0
+    gaps = []
     slowest = 0.0
     for d in (2, 3):
         start = time.perf_counter()
         result = solve(build_problem(d, "clone"), tol=1e-8)
         slowest = max(slowest, time.perf_counter() - start)
-        worst = max(worst, abs(result.optimal_value - analytic_bound(d)))
+        gaps.append(abs(result.optimal_value - analytic_bound(d)))
+    gap = worst(gaps)
     report(
         "2 (optimizer reproduces cloning optimum)",
-        worst < 1e-6 and slowest < 60.0,
-        f"worst gap {worst:.2e} at d=2,3; slowest instance {slowest:.2f}s",
+        gap < 1e-6 and slowest < 60.0,
+        f"worst gap {gap:.2e} at d=2,3; slowest instance {slowest:.2f}s",
     )
 
 
 def test_criterion_3_learning_values():
     expected = {2: 5 / 16, 3: 6 / 81, 4: 6 / 256}
-    worst = 0.0
+    gaps = []
     slowest = 0.0
     for d, ref in expected.items():
         start = time.perf_counter()
         result = solve(build_problem(d, "learn"), tol=1e-8)
         slowest = max(slowest, time.perf_counter() - start)
-        worst = max(worst, abs(result.optimal_value - ref))
-        worst = max(worst, abs(result.optimal_value - f_estimation(d)))
+        gaps.append(abs(result.optimal_value - ref))
+        gaps.append(abs(result.optimal_value - f_estimation(d)))
+    gap = worst(gaps)
     report(
         "3 (learning optimum equals estimation values)",
-        worst < 1e-6 and slowest < 60.0,
-        f"worst gap {worst:.2e} over d=2,3,4; slowest instance {slowest:.2f}s",
+        gap < 1e-6 and slowest < 60.0,
+        f"worst gap {gap:.2e} over d=2,3,4; slowest instance {slowest:.2f}s",
     )
 
 
 def test_criterion_4_decohered_equals_random_guess():
-    worst = 0.0
+    residuals = []
     exact_match = True
     for d in (2, 3, 4):
         u = sample_haar_unitary(d, SeededRng(10 + d))
         fid = channel_fidelity_with_double_unitary(decohered_cloner_channel(u), u)
-        worst = max(worst, abs(fid - 1.0 / d**2))
+        residuals.append(abs(fid - 1.0 / d**2))
         exact_match &= (f_random(d) == 1.0 / d**2)
+    residual = worst(residuals)
     report(
         "4 (decohered fidelity = 1/d^2 = random guess)",
-        worst < 1e-9 and exact_match,
-        f"worst residual {worst:.2e}; closed forms identical: {exact_match}",
+        residual < 1e-9 and exact_match,
+        f"worst residual {residual:.2e}; closed forms identical: {exact_match}",
     )
 
 
 def test_criterion_5_comb_calculus_consistency():
-    worst_choi = 0.0
-    worst_norm = 0.0
-    worst_cov = 0.0
+    choi_deltas, norms, covs = [], [], []
     for d in (2, 3):
         net = choi_r1_of_cloner(d)
         for u in haar_unitaries(d, 20, SeededRng(20 + d)):
             delta = max_abs(insert_gate(net, u).choi - cloner_channel_closed_form(u).choi)
-            worst_choi = max(worst_choi, delta)
-        res_slot, res_input = net.normalization_residuals()
-        worst_norm = max(worst_norm, res_slot, res_input)
-        worst_cov = max(worst_cov, verify_covariance(net.choi, d, trials=5))
+            choi_deltas.append(delta)
+        norms.extend(net.normalization_residuals())
+        covs.append(verify_covariance(net.choi, d, trials=5))
+    worst_choi, worst_norm, worst_cov = worst(choi_deltas), worst(norms), worst(covs)
     report(
         "5 (comb calculus consistency)",
-        max(worst_choi, worst_norm, worst_cov) < 1e-9,
+        worst((worst_choi, worst_norm, worst_cov)) < 1e-9,
         f"insertion {worst_choi:.2e}, normalization {worst_norm:.2e}, "
         f"covariance {worst_cov:.2e}",
     )
 
 
 def test_criterion_6_state_cloner_reduction():
-    worst_red = 0.0
+    reductions = []
     for d in (2, 3):
         p_plus, _ = sym_antisym_projectors(d)
         d_plus = sector_dims(d)["+"]
@@ -142,7 +144,8 @@ def test_criterion_6_state_cloner_reduction():
             proj = np.outer(psi, psi.conj())
             out = apply_channel(post_channel_b(d), np.kron(proj, np.diag([1.0, 0.0])))
             ref = d / d_plus * (p_plus @ np.kron(proj, np.eye(d)) @ p_plus)
-            worst_red = max(worst_red, max_abs(out - ref))
+            reductions.append(max_abs(out - ref))
+    worst_red = worst(reductions)
     # single-clone fidelity at d = 2 against the direct-evaluation oracle
     gen = SeededRng(33).generator()
     psi = gen.standard_normal(2) + 1j * gen.standard_normal(2)
@@ -177,12 +180,13 @@ def test_criterion_8_protocol_statistics():
     honest = run_exact("none", bases)
     ok_honest = honest.symbol_error_rate == 0.0 and honest.sift_rate == 0.5
 
-    worst_mu = 0.0
+    mu_devs = []
     for i in range(10):
         v = next(iter(haar_unitaries(2, 1, SeededRng(800 + i))))
         seed_state = np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
         b2 = build_bases(seed_state)
-        worst_mu = max(worst_mu, max_abs(mutual_unbiasedness_matrix(b2) - 0.25))
+        mu_devs.append(max_abs(mutual_unbiasedness_matrix(b2) - 0.25))
+    worst_mu = worst(mu_devs)
 
     intercept = run_exact("intercept_resend", bases)
     ok_intercept = intercept.symbol_error_rate == 0.375

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from clonelab.channels import (
     choi_from_kraus,
     choi_of_unitary,
     comb_fidelity_functional,
+    comb_from_pre_post,
     comb_normalization_residuals,
     comb_to_json_dict,
     insert_gate,
@@ -20,6 +22,7 @@ from clonelab.channels import (
     max_entangled_vec,
     vec,
 )
+from clonelab import cloner
 from clonelab.cloner import choi_r1_of_cloner, cloner_channel, first_factor_network
 from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import covariance_group_element
@@ -150,6 +153,63 @@ def test_insert_gate_identity_network():
         # the identity network turns gate insertion into U (x) I
         ref = choi_of_unitary(np.kron(u, np.eye(d))).choi
         assert np.abs(ch.choi - ref).max() < 1e-9
+
+
+def reference_comb_from_pre_post(pre_choi, post_choi, d, m):
+    """The 12-index einsum that the slab-written link replaced, kept as its oracle."""
+    a8 = pre_choi.reshape(d, m, d, d, d, m, d, d)
+    b8 = post_choi.reshape(d, d, d, m, d, d, d, m)
+    r12 = np.einsum("jMxXkNyY,wWuMtTvN->xXjuwWyYkvtT", a8, b8, optimize=True)
+    return r12.reshape(d**6, d**6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_comb_from_pre_post_matches_reference_on_cloner_combs(d, monkeypatch):
+    same = []
+
+    def checked_link(pre, post, d, memory_dim, validate=True):
+        ref = reference_comb_from_pre_post(pre.choi, post.choi, d, memory_dim)
+        comb = comb_from_pre_post(pre, post, d, memory_dim, validate=validate)
+        same.append(np.array_equal(comb.choi, ref))
+        return comb
+
+    monkeypatch.setattr(cloner, "comb_from_pre_post", checked_link)
+    for build in (cloner.choi_r1_of_cloner, cloner.choi_r1_of_decohered_cloner,
+                  cloner.first_factor_network):
+        build(d)
+    assert same == [True, True, True]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_comb_from_pre_post_matches_reference_on_random_pairs(m):
+    # non-Hermitian and unnormalized, so a swapped or transposed factor
+    # cannot hide behind a symmetry of the operators.  The sums are the same,
+    # but BLAS splits one large product and many slab products into different
+    # kernel tiles (and einsum multiplies elementwise when m = 1), so dense
+    # random entries agree to rounding (about 1e-14 here), not bit for bit.
+    gen = np.random.default_rng(70 + m)
+    for d in (2, 3):
+        n = d**3 * m
+        pre, post = (make_channel(gen.standard_normal((n, 2 * n)).view(complex), dims_in=din,
+                                  dims_out=dout, validate=False)
+                     for din, dout in (([d, d], [d, m]), ([d, m], [d, d])))
+        comb = comb_from_pre_post(pre, post, d, m, validate=False)
+        ref = reference_comb_from_pre_post(pre.choi, post.choi, d, m)
+        assert np.abs(ref - ref.conj().T).max() > 1e-3
+        assert np.abs(comb.choi - ref).max() <= 1e-12
+
+
+def test_comb_from_pre_post_peak_memory_is_one_comb():
+    # the 12-index einsum held a second comb-sized array
+    d = 3
+    pre, post = cloner.pre_channel_a(d), cloner.post_channel_b(d)
+    tracemalloc.start()
+    try:
+        comb = comb_from_pre_post(pre, post, d, cloner.MEMORY_DIM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * comb.choi.nbytes
 
 
 def reference_insert_gate(choi, u, d):

@@ -112,6 +112,33 @@ def test_mc_on_fixed_second_unitary_network():
     assert abs(comb_fidelity_functional(net.choi, u, d) - direct) < 1e-12
 
 
+def reference_average_fidelity_mc(network, samples, rng):
+    """The one-draw-per-read loop that the blocked average replaced, kept as its oracle."""
+    d = network.d
+    vals = np.empty(samples)
+    for i in range(samples):
+        u = sample_haar_unitary(d, rng.substream(i))
+        vals[i] = comb_fidelity_functional(network.choi, u, d)
+    stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return float(vals.mean()), stderr
+
+
+def test_mc_matches_reference_loop():
+    # 300 samples span two blocks of draws
+    d = 2
+    w = sample_haar_unitary(d, SeededRng(9))
+    ident = choi_from_kraus([np.eye(d * d)], dims_in=[d, d], dims_out=[d, d])
+    post = choi_from_kraus([np.kron(np.eye(d), w)], dims_in=[d, d], dims_out=[d, d])
+    nets = [choi_r1_of_cloner(2), choi_r1_of_cloner(3), choi_r1_of_decohered_cloner(2),
+            comb_from_pre_post(ident, post, d, memory_dim=d)]
+    for net in nets:
+        for samples in (1, 7, 300):
+            mean, stderr = average_fidelity_mc(net, samples, SeededRng(14))
+            ref_mean, ref_stderr = reference_average_fidelity_mc(net, samples, SeededRng(14))
+            assert abs(mean - ref_mean) <= 1e-12
+            assert abs(stderr - ref_stderr) <= 1e-12
+
+
 def test_mc_matches_closed_form_for_all_dims():
     for d in (2, 3):
         net = choi_r1_of_cloner(d)

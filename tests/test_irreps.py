@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def reference_blocks_from_choi(choi, table):
                 b[a, c] = val / norm
         blocks[(mu, nu)] = b
     return blocks
+
+
+def reference_verify_covariance(m, d, trials=10, rng=None):
+    """The dense commutator over the built group element, which the factored
+    residual replaced, kept as its oracle."""
+    rng = rng or SeededRng(0)
+    residuals = []
+    for i in range(trials):
+        v = sample_haar_unitary(d, rng.substream(2 * i))
+        w = sample_haar_unitary(d, rng.substream(2 * i + 1))
+        g = covariance_group_element(d, v, w)
+        residuals.append(max_abs(m @ g - g @ m))
+    return float(np.max(residuals))
 
 
 @pytest.mark.parametrize("d,ranks", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
@@ -253,3 +268,33 @@ def test_blocks_from_choi_matches_per_entry_reference(d):
         assert list(blocks.blocks) == list(ref)
         for key, block in ref.items():
             assert max_abs(blocks.blocks[key] - block) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_covariance_matches_dense_reference(d):
+    combs = [choi_r1_of_cloner(d).choi, choi_r1_of_decohered_cloner(d).choi,
+             first_factor_network(d).choi]
+    kicked = combs[0].copy()
+    kicked[0, 1] += 1e-3
+    kicked[1, 0] += 1e-3
+    for op in combs + [kicked]:
+        new = verify_covariance(op, d, trials=3, rng=SeededRng(90 + d))
+        ref = reference_verify_covariance(op, d, trials=3, rng=SeededRng(90 + d))
+        assert abs(new - ref) <= 1e-12
+    assert ref > 1e-4  # the kick is seen, on both paths
+    poisoned = combs[0].copy()
+    poisoned[0, 1] = np.nan
+    assert np.isnan(verify_covariance(poisoned, d, trials=2))
+    assert np.isnan(reference_verify_covariance(poisoned, d, trials=2))
+
+
+def test_verify_covariance_transient_memory_below_one_and_a_half_operators():
+    # the dense path built a d^6 x d^6 group element and two products per trial
+    op = choi_r1_of_cloner(3).choi
+    tracemalloc.start()
+    try:
+        verify_covariance(op, 3, trials=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.nbytes
