@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -39,6 +38,9 @@ from .linalg import max_abs, partial_trace, worst
 SCHEMA_VERSION = "1"
 CORRUPT_ENV = "CLONELAB_CORRUPT_R1"
 SEED_ENV = "CLONELAB_SEED"
+# the optimizer's closed-form target per task, and the largest accepted gap
+OPTIMIZER_REFERENCE = {"clone": opt.analytic_bound, "learn": bl.f_learning}
+OPTIMIZER_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -46,6 +48,7 @@ class Check:
     name: str
     residual: float
     tolerance: float
+    elapsed_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -68,14 +71,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _maybe_corrupt(choi: np.ndarray) -> np.ndarray:
-    """Test hook: perturb one entry of the comb when the env flag is set."""
+    """Test hook: perturb one entry of the comb when the env flag is set (a number: see main)."""
     flag = os.environ.get(CORRUPT_ENV)
     if not flag:
         return choi
-    try:
-        eps = float(flag)
-    except ValueError:
-        eps = 1e-3
+    eps = float(flag)
     bad = choi.copy()
     bad[0, 1] += eps
     bad[1, 0] += eps
@@ -84,22 +84,29 @@ def _maybe_corrupt(choi: np.ndarray) -> np.ndarray:
 
 def _run(specs, suffix: str = "") -> list[Check]:
     """Evaluate ``(name, tolerance, residual_fn)`` specs, each as soon as it is
-    yielded; an exception fails its check, with the exception type in the name."""
+    yielded; an exception fails its check, with the exception type in the name.
+    A value that several checks share is timed in the first check that needs it."""
     checks = []
     for name, tolerance, fn in specs:
         name += suffix
+        start = time.perf_counter()
         try:
             residual = float(fn())
         except Exception as exc:  # report, do not abort the battery
             residual, name = float("inf"), f"{name} ({type(exc).__name__})"
-        checks.append(Check(name, residual, tolerance))
+        checks.append(Check(name, residual, tolerance, time.perf_counter() - start))
     return checks
 
 
-def _gate_battery(d: int, gates, closed, rng: SeededRng, info: dict):
-    """Cloner checks that build no comb; ``closed()`` lists the closed-form
-    channel of each of ``gates``, and measured values go to ``info``."""
+def _cloner_battery(d: int, n_gates: int, assembly: cn.ClonerAssembly | None,
+                    mc_samples: int, rng: SeededRng, info: dict):
+    """Cloner checks at dimension ``d`` on ``n_gates`` Haar gates: first the gate
+    checks, then, given the ``assembly``, the checks on its comb after the
+    CLONELAB_CORRUPT_R1 hook.  ``mc_samples`` = 0 skips the Monte Carlo average,
+    and measured values go to ``info``."""
     f_ref = cn.closed_form_fidelity(d)
+    gates = list(haar_unitaries(d, n_gates, rng.substream(1)))
+    closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
     composed = functools.cache(lambda: [cn.cloner_channel(u) for u in gates])
     fids = functools.cache(lambda: np.array(
         [channel_fidelity_with_double_unitary(c, u) for c, u in zip(composed(), gates)]))
@@ -141,14 +148,9 @@ def _gate_battery(d: int, gates, closed, rng: SeededRng, info: dict):
     yield "controlled_swap_dilation", 1e-9, lambda: cn.controlled_swap_dilation(
         d, trials=10, rng=rng.substream(4))[1]
     yield "decohered_fidelity_1_over_d2", 1e-9, decohered
+    if assembly is None:
+        return
 
-
-def _comb_battery(assembly: cn.ClonerAssembly, gates, closed, mc_samples: int,
-                  rng: SeededRng, info: dict):
-    """Checks on the cloner comb after the CLONELAB_CORRUPT_R1 hook; arguments as in
-    ``_gate_battery``, and ``mc_samples`` = 0 skips the Monte Carlo average."""
-    d = assembly.d
-    f_ref = cn.closed_form_fidelity(d)
     net = cn.CombNetwork(choi=_maybe_corrupt(assembly.r1.choi), d=d)
     normalization = functools.cache(net.normalization_residuals)
     covariance = functools.cache(
@@ -195,14 +197,11 @@ def _report(args, command: str, scope: str, checks: list[Check], fields: dict,
 
 
 def cmd_verify_cloner(args) -> int:
-    d, rng, assembly = args.d, SeededRng(args.seed), cn.build_cloner(args.d)
-    gates = list(haar_unitaries(d, max(1, min(args.samples, 20)), rng.substream(1)))
-    closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
-    mc_samples = min(args.samples, 200)
+    d, assembly = args.d, cn.build_cloner(args.d)
     f_ref = cn.closed_form_fidelity(d)
     info = {"d": d, "f_clon_closed_form": f_ref}
-    checks = _run(itertools.chain(_gate_battery(d, gates, closed, rng, info),
-                                  _comb_battery(assembly, gates, closed, mc_samples, rng, info)))
+    checks = _run(_cloner_battery(d, max(1, min(args.samples, 20)), assembly,
+                                  min(args.samples, 200), SeededRng(args.seed), info))
     if args.dump:
         payload = {"schema": SCHEMA_VERSION, "comb": comb_to_json_dict(assembly.r1),
                    "pre_channel": channel_to_json_dict(assembly.channel_a),
@@ -216,9 +215,9 @@ def cmd_verify_cloner(args) -> int:
 def cmd_optimize(args) -> int:
     problem = opt.build_problem(args.d, args.task)
     result = opt.solve(problem, tol=args.tol)
-    reference = opt.analytic_bound(args.d) if args.task == "clone" else bl.f_learning(args.d)
+    reference = OPTIMIZER_REFERENCE[args.task](args.d)
     gap = abs(result.optimal_value - reference)
-    ok = gap <= 1e-6
+    ok = gap <= OPTIMIZER_GAP_TOL
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "optimize",
@@ -338,8 +337,8 @@ def cmd_protocol(args) -> int:
 def _suite_battery(rng: SeededRng, quick: bool):
     """full-suite's optimizer, no-cloning arithmetic and protocol checks."""
     for d in (2,) if quick else (2, 3, 4):
-        for task, ref in (("clone", opt.analytic_bound), ("learn", bl.f_learning)):
-            yield f"optimizer_{task}_d{d}", 1e-6, lambda: abs(
+        for task, ref in OPTIMIZER_REFERENCE.items():
+            yield f"optimizer_{task}_d{d}", OPTIMIZER_GAP_TOL, lambda: abs(
                 opt.solve(opt.build_problem(d, task), tol=1e-8).optimal_value - ref(d))
         yield f"learn_equals_estimation_d{d}", 0.0, lambda: abs(bl.f_learning(d) - bl.f_estimation(d))
     yield "no_cloning_fixed_points", 0.0, lambda: float(bl.no_cloning_fixed_points(1001) != [0.0, 0.5])
@@ -380,15 +379,10 @@ def cmd_full_suite(args) -> int:
     start = time.perf_counter()
     checks: list[Check] = []
     for d in (2, 3, 4):
-        rng_d, with_comb = rng.substream(d), d <= (2 if args.quick else 3)
-        gates = list(haar_unitaries(d, (5 if args.quick else 20) if with_comb else 1,
-                                    rng_d.substream(1)))
-        closed = functools.cache(lambda: [cn.cloner_channel_closed_form(u) for u in gates])
-        specs = _gate_battery(d, gates, closed, rng_d, {})
-        if with_comb:
-            specs = itertools.chain(
-                specs, _comb_battery(cn.build_cloner(d), gates, closed, 50, rng_d, {}))
-        checks += _run(specs, f"_d{d}")
+        with_comb = d <= (2 if args.quick else 3)
+        n_gates = (5 if args.quick else 20) if with_comb else 1
+        assembly = cn.build_cloner(d) if with_comb else None
+        checks += _run(_cloner_battery(d, n_gates, assembly, 50, rng.substream(d), {}), f"_d{d}")
     checks += _run(_suite_battery(rng, args.quick))
     elapsed = time.perf_counter() - start
     summary = f"{sum(c.passed for c in checks)}/{len(checks)} checks passed in {elapsed:.1f}s"
@@ -471,7 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        float(os.environ.get(CORRUPT_ENV) or 0)
+    except ValueError:
+        parser.error(f"{CORRUPT_ENV} must be a number or nan, got {os.environ[CORRUPT_ENV]!r}")
     return args.func(args)
 
 

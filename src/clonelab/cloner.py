@@ -23,6 +23,7 @@ from .channels import (
     CombNetwork,
     choi_from_kraus,
     comb_from_pre_post,
+    kraus_of,
     make_channel,
 )
 from .haar import SeededRng
@@ -30,6 +31,7 @@ from .linalg import (
     as_matrix,
     dagger,
     max_abs,
+    partial_trace,
     require_gate_dim,
     require_unitary,
     tensor,
@@ -195,8 +197,6 @@ def choi_r1_of_decohered_cloner(d: int) -> CombNetwork:
     """Comb of the cloner with the memory dephased between the two steps."""
     a = pre_channel_a(d)
     deph = [np.kron(np.eye(d), p) for p in memory_dephasing_kraus()]
-    from .channels import kraus_of  # local import to keep module load light
-
     kraus_a = [dp @ ka for ka in kraus_of(a) for dp in deph]
     a_deph = choi_from_kraus(kraus_a, dims_in=[d, d], dims_out=[d, MEMORY_DIM],
                              labels_in=("0B", "0E"), labels_out=("1", "M"))
@@ -247,8 +247,6 @@ def controlled_swap_dilation(d: int, trials: int = 20,
     w_m = memory_basis_change()
     kraus = kraus_pre_a(d)
     gen = (rng or SeededRng(0)).generator()
-    from .linalg import partial_trace  # local import avoids a cycle at module load
-
     residuals = []
     for _ in range(trials):
         g = gen.standard_normal((d * d, d * d)) + 1j * gen.standard_normal((d * d, d * d))

@@ -1,42 +1,56 @@
-"""Acceptance criteria, one test per criterion, one printed line each.
-
-Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
+"""Acceptance criteria: each is a group of ``clonelab full-suite`` checks, named by
+base name (without the ``_d{d}`` suffix) and the dimensions it runs at; one full
+run at seed 0 feeds every test.  ``pytest -s`` shows one report line each.
 """
 
+import contextlib
+import io
 import json
-import time
+import math
+import re
 
-import numpy as np
+import pytest
 
-from clonelab.baselines import (
-    f_estimation,
-    f_random,
-    no_cloning_fixed_points,
-    permutation_discrimination,
-)
-from clonelab.channels import channel_fidelity_with_double_unitary, insert_gate
 from clonelab.cli import main
-from clonelab.cloner import (
-    choi_r1_of_cloner,
-    closed_form_fidelity,
-    cloner_channel,
-    cloner_channel_closed_form,
-    decohered_cloner_channel,
-    post_channel_b,
-)
-from clonelab.channels import apply_channel
-from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
-from clonelab.irreps import sector_dims, sym_antisym_projectors, verify_covariance
-from clonelab.linalg import max_abs, partial_trace, worst
-from clonelab.optimizer import analytic_bound, build_problem, solve
-from clonelab.protocol import (
-    CLONE_ATTACK_EVE_GUESS,
-    CLONE_ATTACK_SYMBOL_ERROR,
-    build_bases,
-    mutual_unbiasedness_matrix,
-    run_exact,
-    run_sampled,
-)
+
+D234, D23, NO_D = (2, 3, 4), (2, 3), (None,)
+# criterion -> (title, {check base name: dimensions it runs at})
+CRITERIA = {
+    1: ("closed-form optimal fidelity", dict.fromkeys((
+        "pre_channel_trace_preserving", "post_channel_trace_preserving",
+        "fidelity_matches_closed_form", "fidelity_constant_over_gates",
+        "compose_vs_closed_form_choi", "controlled_swap_dilation"), D234)),
+    2: ("optimizer reproduces cloning optimum", {"optimizer_clone": D234}),
+    3: ("learning optimum equals estimation values",
+        dict.fromkeys(("optimizer_learn", "learn_equals_estimation"), D234)),
+    4: ("decohered fidelity = 1/d^2", {"decohered_fidelity_1_over_d2": D234}),
+    5: ("comb calculus consistency", dict.fromkeys((
+        "comb_finite", "comb_normalization_slot", "comb_normalization_input",
+        "insert_gate_vs_closed_form_choi", "comb_covariance", "block_fidelity",
+        "mc_average_fidelity"), D23)),
+    6: ("state-cloner reduction",
+        {"state_cloner_reduction": D234, "single_clone_fidelity_5_6": (2,)}),
+    7: ("no-cloning arithmetic",
+        dict.fromkeys(("no_cloning_fixed_points", "permutation_discrimination_n3"), NO_D)),
+    8: ("protocol statistics", dict.fromkeys((
+        "protocol_honest_exact", "mutual_unbiasedness_random_seeds", "protocol_intercept_exact",
+        "protocol_clone_attack_regression", "protocol_clone_attack_ordering",
+        "protocol_intercept_sampled_4sigma"), NO_D)),
+}
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """Exit code and parsed document of one ``full-suite --json --seed 0`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["full-suite", "--json", "--seed", "0"])
+    return code, json.loads(out.getvalue())
+
+
+def base_and_d(name: str):
+    match = re.fullmatch(r"(.+)_d(\d)", name)
+    return (match[1], int(match[2])) if match else (name, None)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -44,196 +58,61 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def test_criterion_1_closed_form_fidelity():
-    start = time.perf_counter()
-    residuals = []
-    for d in (2, 3, 4):
-        expected = (d + np.sqrt(d * d - 1.0)) / d**3
-        u = sample_haar_unitary(d, SeededRng(d))
-        for gate in (np.eye(d), u):
-            fid = channel_fidelity_with_double_unitary(cloner_channel(gate), gate)
-            residuals.append(abs(fid - expected))
-    fid2 = channel_fidelity_with_double_unitary(cloner_channel(np.eye(2)), np.eye(2))
-    residuals.append(abs(fid2 - 0.46650635094610965))
-    residual = worst(residuals)
-    elapsed = time.perf_counter() - start
-    report(
-        "1 (closed-form optimal fidelity)",
-        residual < 1e-9 and elapsed < 10.0,
-        f"worst residual {residual:.2e} over d=2,3,4; {elapsed:.2f}s",
-    )
+def criterion_test(n: int, total_budget=math.inf, each_budget=math.inf):
+    """A test that each check of criterion ``n`` ran at each of its dimensions and
+    passed, and that the checks' clocks stay within the budgets in seconds."""
+    def test(suite):
+        title, table = CRITERIA[n]
+        ran = {base_and_d(c["name"]): c for c in suite[1]["checks"]}
+        wanted = [(base, d) for base, dims in table.items() for d in dims]
+        missing = [f"{base}@d={d}" for base, d in wanted if (base, d) not in ran]
+        group = [ran[key] for key in wanted if key in ran]
+        failed = [c["name"] for c in group if not c["passed"]]
+        residual = max((c["residual"] for c in group), key=lambda r: (math.isnan(r), r),
+                       default=math.nan)
+        total = sum(c["elapsed_seconds"] for c in group)
+        slowest = max((c["elapsed_seconds"] for c in group), default=0.0)
+        report(f"{n} ({title})",
+               not missing and not failed and total < total_budget and slowest < each_budget,
+               f"{len(group)} checks, worst residual {residual:.2e}, {total:.2f}s in all, "
+               f"slowest {slowest:.2f}s; missing {missing}, failed {failed}")
+    return test
 
 
-def test_criterion_2_optimizer_reproduces_cloning_bound():
-    gaps = []
-    slowest = 0.0
-    for d in (2, 3):
-        start = time.perf_counter()
-        result = solve(build_problem(d, "clone"), tol=1e-8)
-        slowest = max(slowest, time.perf_counter() - start)
-        gaps.append(abs(result.optimal_value - analytic_bound(d)))
-    gap = worst(gaps)
-    report(
-        "2 (optimizer reproduces cloning optimum)",
-        gap < 1e-6 and slowest < 60.0,
-        f"worst gap {gap:.2e} at d=2,3; slowest instance {slowest:.2f}s",
-    )
+test_criterion_1_closed_form_fidelity = criterion_test(1, total_budget=10.0)
+test_criterion_2_optimizer_reproduces_cloning_bound = criterion_test(2, each_budget=60.0)
+test_criterion_3_learning_values = criterion_test(3, each_budget=60.0)
+test_criterion_4_decohered_equals_random_guess = criterion_test(4)
+test_criterion_5_comb_calculus_consistency = criterion_test(5)
+test_criterion_6_state_cloner_reduction = criterion_test(6)
+test_criterion_7_no_cloning_arithmetic = criterion_test(7)
+test_criterion_8_protocol_statistics = criterion_test(8)
 
 
-def test_criterion_3_learning_values():
-    expected = {2: 5 / 16, 3: 6 / 81, 4: 6 / 256}
-    gaps = []
-    slowest = 0.0
-    for d, ref in expected.items():
-        start = time.perf_counter()
-        result = solve(build_problem(d, "learn"), tol=1e-8)
-        slowest = max(slowest, time.perf_counter() - start)
-        gaps.append(abs(result.optimal_value - ref))
-        gaps.append(abs(result.optimal_value - f_estimation(d)))
-    gap = worst(gaps)
-    report(
-        "3 (learning optimum equals estimation values)",
-        gap < 1e-6 and slowest < 60.0,
-        f"worst gap {gap:.2e} over d=2,3,4; slowest instance {slowest:.2f}s",
-    )
+def test_every_full_suite_check_belongs_to_one_criterion(suite):
+    owners = {}
+    for check in suite[1]["checks"]:
+        base, d = base_and_d(check["name"])
+        owners[check["name"]] = [n for n, (_, table) in CRITERIA.items()
+                                 if d in table.get(base, ())]
+    assert {name: ns for name, ns in owners.items() if len(ns) != 1} == {}
 
 
-def test_criterion_4_decohered_equals_random_guess():
-    residuals = []
-    exact_match = True
-    for d in (2, 3, 4):
-        u = sample_haar_unitary(d, SeededRng(10 + d))
-        fid = channel_fidelity_with_double_unitary(decohered_cloner_channel(u), u)
-        residuals.append(abs(fid - 1.0 / d**2))
-        exact_match &= (f_random(d) == 1.0 / d**2)
-    residual = worst(residuals)
-    report(
-        "4 (decohered fidelity = 1/d^2 = random guess)",
-        residual < 1e-9 and exact_match,
-        f"worst residual {residual:.2e}; closed forms identical: {exact_match}",
-    )
+def without_clocks(value):
+    if isinstance(value, dict):
+        return {k: without_clocks(v) for k, v in value.items() if k != "elapsed_seconds"}
+    return [without_clocks(v) for v in value] if isinstance(value, list) else value
 
 
-def test_criterion_5_comb_calculus_consistency():
-    choi_deltas, norms, covs = [], [], []
-    for d in (2, 3):
-        net = choi_r1_of_cloner(d)
-        for u in haar_unitaries(d, 20, SeededRng(20 + d)):
-            delta = max_abs(insert_gate(net, u).choi - cloner_channel_closed_form(u).choi)
-            choi_deltas.append(delta)
-        norms.extend(net.normalization_residuals())
-        covs.append(verify_covariance(net.choi, d, trials=5))
-    worst_choi, worst_norm, worst_cov = worst(choi_deltas), worst(norms), worst(covs)
-    report(
-        "5 (comb calculus consistency)",
-        worst((worst_choi, worst_norm, worst_cov)) < 1e-9,
-        f"insertion {worst_choi:.2e}, normalization {worst_norm:.2e}, "
-        f"covariance {worst_cov:.2e}",
-    )
-
-
-def test_criterion_6_state_cloner_reduction():
-    reductions = []
-    for d in (2, 3):
-        p_plus, _ = sym_antisym_projectors(d)
-        d_plus = sector_dims(d)["+"]
-        gen = SeededRng(30 + d).generator()
-        for _ in range(5):
-            psi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-            psi /= np.linalg.norm(psi)
-            proj = np.outer(psi, psi.conj())
-            out = apply_channel(post_channel_b(d), np.kron(proj, np.diag([1.0, 0.0])))
-            ref = d / d_plus * (p_plus @ np.kron(proj, np.eye(d)) @ p_plus)
-            reductions.append(max_abs(out - ref))
-    worst_red = worst(reductions)
-    # single-clone fidelity at d = 2 against the direct-evaluation oracle
-    gen = SeededRng(33).generator()
-    psi = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-    psi /= np.linalg.norm(psi)
-    proj = np.outer(psi, psi.conj())
-    p_plus, _ = sym_antisym_projectors(2)
-    oracle = (2.0 / 3.0) * (p_plus @ np.kron(proj, np.eye(2)) @ p_plus)
-    oracle_fid = float(np.real(psi.conj() @ partial_trace(oracle, [2, 2], [0]) @ psi))
-    out = apply_channel(post_channel_b(2), np.kron(proj, np.diag([1.0, 0.0])))
-    fid = float(np.real(psi.conj() @ partial_trace(out, [2, 2], [0]) @ psi))
-    ok = worst_red < 1e-10 and abs(fid - 5 / 6) < 1e-9 and abs(oracle_fid - fid) < 1e-12
-    report(
-        "6 (state-cloner reduction)",
-        ok,
-        f"reduction residual {worst_red:.2e}; single-clone fidelity {fid:.10f} vs 5/6",
-    )
-
-
-def test_criterion_7_no_cloning_arithmetic():
-    points = no_cloning_fixed_points(1001)
-    perm = permutation_discrimination(3)
-    ok = points == [0.0, 0.5] and perm == (3, False) and perm[0] < 6
-    report(
-        "7 (no-cloning arithmetic)",
-        ok,
-        f"fixed points {points}; 3-letter permutations distinguishable {perm[0]} of 6",
-    )
-
-
-def test_criterion_8_protocol_statistics():
-    bases = build_bases()
-    honest = run_exact("none", bases)
-    ok_honest = honest.symbol_error_rate == 0.0 and honest.sift_rate == 0.5
-
-    mu_devs = []
-    for i in range(10):
-        v = next(iter(haar_unitaries(2, 1, SeededRng(800 + i))))
-        seed_state = np.kron(np.eye(2), v) @ np.eye(2).reshape(-1) / np.sqrt(2)
-        b2 = build_bases(seed_state)
-        mu_devs.append(max_abs(mutual_unbiasedness_matrix(b2) - 0.25))
-    worst_mu = worst(mu_devs)
-
-    intercept = run_exact("intercept_resend", bases)
-    ok_intercept = intercept.symbol_error_rate == 0.375
-
-    rounds = 100_000
-    sampled = run_sampled("intercept_resend", bases, rounds, SeededRng(81))
-    sigma = np.sqrt(0.375 * 0.625 / (rounds * sampled.sift_rate))
-    ok_sampled = abs(sampled.symbol_error_rate - 0.375) < 4 * sigma
-
-    clone = run_exact("clone_attack", bases)
-    ok_clone = (
-        abs(clone.symbol_error_rate - CLONE_ATTACK_SYMBOL_ERROR) < 1e-9
-        and abs(clone.eve_guess_prob - CLONE_ATTACK_EVE_GUESS) < 1e-9
-        and clone.symbol_error_rate < 0.375
-        and clone.eve_guess_prob > 0.25
-    )
-    report(
-        "8 (protocol statistics)",
-        ok_honest and worst_mu < 1e-12 and ok_intercept and ok_sampled and ok_clone,
-        f"honest ser {honest.symbol_error_rate}, MU dev {worst_mu:.1e}, "
-        f"intercept {intercept.symbol_error_rate}, sampled dev "
-        f"{abs(sampled.symbol_error_rate - 0.375):.2e}, clone "
-        f"({clone.symbol_error_rate:.6f}, {clone.eve_guess_prob:.6f})",
-    )
-
-
-def test_criterion_9_full_suite_runtime(capsys):
-    start = time.perf_counter()
-    code1 = main(["full-suite", "--quick", "--json", "--seed", "0"])
-    out1 = capsys.readouterr().out
-    quick_time = time.perf_counter() - start
-    code2 = main(["full-suite", "--quick", "--json", "--seed", "0"])
-    out2 = capsys.readouterr().out
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    doc1.pop("elapsed_seconds")
-    doc2.pop("elapsed_seconds")
-    deterministic = doc1 == doc2
-
-    start = time.perf_counter()
-    code3 = main(["full-suite", "--json", "--seed", "0"])
-    capsys.readouterr()
-    full_time = time.perf_counter() - start
-    ok = (code1 == code2 == code3 == 0 and quick_time < 30.0
-          and full_time < 300.0 and deterministic)
-    report(
-        "9 (full suite runtime and determinism)",
-        ok,
-        f"quick {quick_time:.1f}s (< 30s), full {full_time:.1f}s (< 300s), "
-        f"deterministic: {deterministic}",
-    )
+def test_criterion_9_full_suite_runtime(suite, capsys):
+    argv = ["full-suite", "--quick", "--json", "--seed", "0"]
+    (code1, doc1), (code2, doc2) = [(main(argv), json.loads(capsys.readouterr().out))
+                                    for _ in range(2)]
+    deterministic = without_clocks(doc1) == without_clocks(doc2)
+    code3, full = suite
+    quick_time, full_time = doc1["elapsed_seconds"], full["elapsed_seconds"]
+    report("9 (full suite runtime and determinism)",
+           code1 == code2 == code3 == 0 and quick_time < 30.0 and full_time < 300.0
+           and deterministic,
+           f"quick {quick_time:.1f}s (< 30s), full {full_time:.1f}s (< 300s), "
+           f"deterministic: {deterministic}")

@@ -17,8 +17,8 @@ from clonelab.linalg import DimensionMismatchError
 
 
 def test_f_random_values():
-    assert f_random(2) == 0.25
-    assert f_random(3) == pytest.approx(1 / 9)
+    for d in (2, 3, 4):
+        assert f_random(d) == 1 / d**2
     with pytest.raises(ValueError):
         f_random(1)
 

@@ -176,6 +176,17 @@ def test_bad_input_exits_2_at_parse_time(argv, env, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_invalid_corruption_hook_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CLONELAB_CORRUPT_R1", "1e-3x")
+    with pytest.raises(SystemExit) as err:
+        main(["full-suite", "--quick"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CLONELAB_CORRUPT_R1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_check_exception_is_a_named_failure(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("dilation unavailable")
