@@ -14,11 +14,11 @@ from .linalg import (
     NotUnitaryError,
     dagger,
     eig_hermitian,
-    is_hermitian,
-    is_psd,
-    is_unitary,
     partial_trace,
     permute_factors,
+    psd_residual,
+    require_hermitian,
+    require_unitary,
     tensor,
 )
 from .channels import (

@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .cloner import closed_form_fidelity
-from .linalg import DimensionMismatchError, as_matrix, eig_hermitian
+from .linalg import ATOL_HERMITIAN_EIG, DimensionMismatchError, as_matrix, eig_hermitian
 
 
 def f_random(d: int) -> float:
@@ -68,7 +68,7 @@ def helstrom_error(rho1: np.ndarray, rho2: np.ndarray) -> float:
     rho2 = as_matrix(rho2)
     if rho1.shape != rho2.shape:
         raise DimensionMismatchError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
-    w, _ = eig_hermitian(rho1 - rho2, tol=1e-8)
+    w, _ = eig_hermitian(rho1 - rho2, ATOL_HERMITIAN_EIG)
     trace_norm = float(np.abs(w).sum())
     return (1.0 - 0.5 * trace_norm) / 2.0
 
@@ -106,16 +106,6 @@ class BaselineReport:
     f_ran: float
     f_deco: float
     f_learn: float
-
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "f_clon": self.f_clon,
-            "f_est": self.f_est,
-            "f_ran": self.f_ran,
-            "f_deco": self.f_deco,
-            "f_learn": self.f_learn,
-        }
 
 
 def build_report(d: int) -> BaselineReport:

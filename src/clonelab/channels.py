@@ -17,12 +17,15 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     ATOL_EQ,
+    ATOL_HERMITIAN_EIG,
+    ATOL_PSD,
+    ATOL_RANK,
     DimensionMismatchError,
     NotHermitianError,
     as_matrix,
@@ -30,7 +33,7 @@ from .linalg import (
     eig_hermitian,
     max_abs,
     partial_trace,
-    require_hermitian,
+    psd_residual,
     require_unitary,
     worst,
 )
@@ -64,45 +67,38 @@ class Channel:
     """
 
     choi: np.ndarray
-    dim_in: int
-    dim_out: int
     labels_in: tuple[str, ...]
     labels_out: tuple[str, ...]
     dims_in: tuple[int, ...]
     dims_out: tuple[int, ...]
 
-    def cp_residual(self) -> float:
-        """How far the Choi operator is from PSD (most negative eigenvalue)."""
-        w = np.linalg.eigvalsh(require_hermitian(self.choi, tol=1e-8))
-        return worst((0.0, -w.min()))
+    @property
+    def dim_in(self) -> int:
+        return int(np.prod(self.dims_in))
+
+    @property
+    def dim_out(self) -> int:
+        return int(np.prod(self.dims_out))
 
     def tp_residual(self) -> float:
         """Max-norm residual of Tr_out[choi] against the input identity."""
         red = partial_trace(self.choi, [self.dim_out, self.dim_in], keep=[1])
         return max_abs(red - np.eye(self.dim_in))
 
-    def validate(self, atol: float = ATOL_EQ) -> None:
-        if int(np.prod(self.dims_in)) != self.dim_in:
-            raise DimensionMismatchError(
-                f"input factor dims {self.dims_in} do not multiply to {self.dim_in}"
-            )
-        if int(np.prod(self.dims_out)) != self.dim_out:
-            raise DimensionMismatchError(
-                f"output factor dims {self.dims_out} do not multiply to {self.dim_out}"
-            )
+    def validate(self) -> None:
         n = self.dim_in * self.dim_out
         if self.choi.shape != (n, n):
             raise DimensionMismatchError(
                 f"Choi shape {self.choi.shape} != ({n}, {n})"
             )
         try:
-            cp = self.cp_residual()
+            cp = psd_residual(self.choi, ATOL_HERMITIAN_EIG)
         except NotHermitianError as exc:  # NaN entries fail here, before eigvalsh
             raise ValueError(f"Choi operator not PSD: {exc}") from exc
-        if not cp <= atol:
+        if not cp <= ATOL_PSD:
             raise ValueError(f"Choi operator not PSD: residual {cp:.3e}")
         tp = self.tp_residual()
-        if not tp <= atol:
+        if not tp <= ATOL_EQ:
             raise ValueError(f"channel not trace preserving: residual {tp:.3e}")
 
 
@@ -113,7 +109,6 @@ def make_channel(
     labels_in: tuple[str, ...] = (),
     labels_out: tuple[str, ...] = (),
     validate: bool = True,
-    atol: float = ATOL_EQ,
 ) -> Channel:
     """Assemble a Channel from a Choi operator and per-factor dimensions."""
     dims_in = tuple(int(x) for x in np.atleast_1d(dims_in))
@@ -124,26 +119,21 @@ def make_channel(
         raise DimensionMismatchError("factor labels do not match factor dims")
     ch = Channel(
         choi=as_matrix(choi),
-        dim_in=int(np.prod(dims_in)),
-        dim_out=int(np.prod(dims_out)),
         labels_in=labels_in,
         labels_out=labels_out,
         dims_in=dims_in,
         dims_out=dims_out,
     )
     if validate:
-        ch.validate(atol=atol)
+        ch.validate()
     return ch
 
 
-def choi_of_unitary(u: np.ndarray, tol: float = 1e-10, validate: bool = True) -> Channel:
+def choi_of_unitary(u: np.ndarray) -> Channel:
     """Rank-one Choi |U><U| of a unitary channel."""
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     v = vec(u)
-    return make_channel(
-        np.outer(v, v.conj()), dims_in=[u.shape[0]], dims_out=[u.shape[0]],
-        validate=validate,
-    )
+    return make_channel(np.outer(v, v.conj()), dims_in=[u.shape[0]], dims_out=[u.shape[0]])
 
 
 def choi_from_kraus(
@@ -152,10 +142,8 @@ def choi_from_kraus(
     dims_out=None,
     labels_in: tuple[str, ...] = (),
     labels_out: tuple[str, ...] = (),
-    atol: float = ATOL_EQ,
-    validate: bool = True,
 ) -> Channel:
-    """Channel from Kraus operators; checks sum K†K = I within ``atol``."""
+    """Channel from Kraus operators; checks sum K†K = I within ATOL_EQ."""
     ks = [as_matrix(k) for k in kraus]
     if not ks:
         raise ValueError("empty Kraus list")
@@ -165,8 +153,8 @@ def choi_from_kraus(
             raise DimensionMismatchError(f"Kraus shapes differ: {k.shape} vs {(dout, din)}")
     comp = sum(dagger(k) @ k for k in ks)
     res = max_abs(comp - np.eye(din))
-    if not res <= atol:  # NaN fails
-        raise CompletenessError(res, atol)
+    if not res <= ATOL_EQ:  # NaN fails
+        raise CompletenessError(res, ATOL_EQ)
     choi = np.zeros((dout * din, dout * din), dtype=complex)
     for k in ks:
         v = vec(k)
@@ -177,30 +165,27 @@ def choi_from_kraus(
         dims_out=dims_out if dims_out is not None else [dout],
         labels_in=labels_in,
         labels_out=labels_out,
-        validate=validate,
-        atol=atol,
     )
 
 
-def kraus_of(channel: Channel, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_of(channel: Channel) -> list[np.ndarray]:
     """Kraus operators extracted from the Choi eigendecomposition."""
-    w, v = eig_hermitian(channel.choi, tol=1e-8)
+    w, v = eig_hermitian(channel.choi, ATOL_HERMITIAN_EIG)
     out = []
     for lam, col in zip(w, v.T):
-        if lam > tol:
+        if lam > ATOL_RANK:
             out.append(np.sqrt(lam) * col.reshape(channel.dim_out, channel.dim_in))
     return out
 
 
-def apply_channel(channel: Channel, rho: np.ndarray, validate: bool = True,
-                  atol: float = ATOL_EQ) -> np.ndarray:
+def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel: Tr_in[(I_out (x) rho^T) choi]."""
     rho = as_matrix(rho)
     if rho.shape != (channel.dim_in, channel.dim_in):
         raise DimensionMismatchError(
             f"state shape {rho.shape} != ({channel.dim_in}, {channel.dim_in})"
         )
-    if validate and abs(np.trace(rho) - 1.0) > atol:
+    if not abs(np.trace(rho) - 1.0) <= ATOL_EQ:  # NaN fails
         raise ValueError(f"input state trace {np.trace(rho):.6f} != 1")
     c4 = channel.choi.reshape(channel.dim_out, channel.dim_in,
                               channel.dim_out, channel.dim_in)
@@ -217,12 +202,9 @@ class CombNetwork:
 
     choi: np.ndarray
     d: int
-    factor_dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.factor_dims:
-            object.__setattr__(self, "factor_dims", (self.d,) * 6)
-        n = int(np.prod(self.factor_dims))
+        n = self.d**6
         if self.choi.shape != (n, n):
             raise DimensionMismatchError(
                 f"comb Choi shape {self.choi.shape} != ({n}, {n})"
@@ -231,14 +213,13 @@ class CombNetwork:
     def normalization_residuals(self) -> tuple[float, float]:
         return comb_normalization_residuals(self.choi, self.d)
 
-    def validate(self, atol: float = ATOL_EQ, check_psd: bool = True) -> None:
+    def validate(self, check_psd: bool = True) -> None:
         if check_psd:
-            # eigvalsh reads one triangle, so Hermiticity is checked on the whole operator
-            w = np.linalg.eigvalsh(require_hermitian(self.choi, 1e-8))
-            if not w.min() >= -atol:
-                raise ValueError(f"comb Choi not PSD: min eigenvalue {w.min():.3e}")
+            neg = psd_residual(self.choi, ATOL_HERMITIAN_EIG)
+            if not neg <= ATOL_PSD:
+                raise ValueError(f"comb Choi not PSD: min eigenvalue {-neg:.3e}")
         r1, r2 = self.normalization_residuals()
-        if not worst((r1, r2)) <= atol:
+        if not worst((r1, r2)) <= ATOL_EQ:
             raise ValueError(
                 f"comb normalization violated: slot residual {r1:.3e}, input residual {r2:.3e}"
             )
@@ -298,7 +279,7 @@ def comb_from_pre_post(pre: Channel, post: Channel, d: int, memory_dim: int,
     return comb
 
 
-def insert_gate(network: CombNetwork, u: np.ndarray, tol: float = 1e-10) -> Channel:
+def insert_gate(network: CombNetwork, u: np.ndarray) -> Channel:
     """Plug the unitary ``u`` into the open slot of the network.
 
     Implements the contraction of the conjugated gate Choi over the slot
@@ -313,12 +294,12 @@ def insert_gate(network: CombNetwork, u: np.ndarray, tol: float = 1e-10) -> Chan
     conjugated vector over the row factors (1, 2) of that intermediate, which
     also moves the output factors (3B, 3E) ahead of the inputs (0B, 0E).
     """
-    u = as_matrix(u)
+    u = require_unitary(u)
     d = network.d
     if u.shape != (d, d):
         raise DimensionMismatchError(f"gate shape {u.shape} != ({d}, {d})")
     # x[c, e] = component of (I_1 (x) U*_2)|I> on (1, 2), flattened
-    x = require_unitary(u, tol).conj().T.reshape(-1)
+    x = u.conj().T.reshape(-1)
     # rows (0B 0E, 1 2, 3B 3E), columns (0B 0E, [1 2], 3B 3E): the column
     # slot is the middle axis once the row index and columns (0B 0E) merge
     half = x @ network.choi.reshape(d**8, d**2, d**2)
@@ -340,7 +321,7 @@ def double_unitary_choi_vec(u: np.ndarray) -> np.ndarray:
 
 def channel_fidelity_with_double_unitary(channel: Channel, u: np.ndarray) -> float:
     """Global channel fidelity (1/d^4) Tr[C |U(x)U><U(x)U|] in [0, 1]."""
-    u = as_matrix(u)
+    u = require_unitary(u)
     d = u.shape[0]
     if channel.dim_in != d * d or channel.dim_out != d * d:
         raise DimensionMismatchError(
@@ -358,7 +339,7 @@ def comb_fidelity_functional(choi: np.ndarray, u: np.ndarray, d: int) -> float:
     skips the intermediate channel; also meaningful for non-normalized
     covariant operators, where it evaluates the same quadratic functional.
     """
-    w = _functional_vectors(as_matrix(u)[None])[0]
+    w = _functional_vectors(np.asarray(u)[None], d)[0]
     return float(np.real(w.conj() @ as_matrix(choi) @ w)) / d**4
 
 
@@ -368,12 +349,16 @@ def comb_fidelity_functional_batch(choi: np.ndarray, us: np.ndarray, d: int) -> 
     Stacks the vectors w_u as the rows of W and takes Re diag(W* R W^T) / d^4,
     so the operator R is read once for the whole stack.
     """
-    w = _functional_vectors(np.asarray(us, dtype=complex))
+    w = _functional_vectors(us, d)
     return np.real(np.einsum("si,is->s", w.conj(), as_matrix(choi) @ w.T)) / d**4
 
 
-def _functional_vectors(us: np.ndarray) -> np.ndarray:
-    """Rows w_u with R's fidelity functional w_u^* R w_u, for a stack (n, d, d)."""
+def _functional_vectors(us, d: int) -> np.ndarray:
+    """Rows w_u with R's fidelity functional w_u^* R w_u, for a stack (n, d, d)
+    of gates, each checked unitary."""
+    us = require_unitary(us)
+    if us.shape[1:] != (d, d):
+        raise DimensionMismatchError(f"gate stack shape {us.shape} != (n, {d}, {d})")
     t1 = np.swapaxes(us, 1, 2)  # pair (0B, 3B): component [x, a] = U[a, x]
     t3 = t1.conj()              # pair (1, 2):  component [c, e] = conj(U[e, c])
     return np.einsum("sxa,syb,sce->sxyceab", t1, t1, t3).reshape(len(us), -1)
@@ -394,6 +379,6 @@ def comb_to_json_dict(network: CombNetwork) -> dict:
     """JSON-ready description of a comb network Choi operator."""
     return {
         "labels": list(COMB_FACTORS),
-        "dims": list(network.factor_dims),
+        "dims": [network.d] * 6,
         "entries": [[float(z.real), float(z.imag)] for z in network.choi.reshape(-1)],
     }

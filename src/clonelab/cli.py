@@ -254,7 +254,7 @@ def cmd_baselines(args) -> int:
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "baselines",
-            **report.as_dict(),
+            **asdict(report),
             "no_cloning_fixed_points": fixed_points,
             "permutation_n3": {"max_distinguishable": perm[0], "feasible_all": perm[1]},
         }
@@ -282,7 +282,7 @@ def cmd_table(args) -> int:
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "table",
-            "rows": [r.as_dict() for r in rows],
+            "rows": [asdict(r) for r in rows],
         }
         _emit(json.dumps(payload, indent=2), args.output)
     elif args.csv:
@@ -313,7 +313,7 @@ def cmd_protocol(args) -> int:
         stats = proto.run_exact(strategy, bases)
     else:
         stats = proto.run_sampled(strategy, bases, args.rounds, SeededRng(args.seed))
-    d = stats.as_dict()
+    d = asdict(stats)
     if args.json:
         _emit(json.dumps({"schema": SCHEMA_VERSION, "command": "protocol", **d}, indent=2),
               args.output)

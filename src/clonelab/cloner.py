@@ -23,7 +23,6 @@ from .channels import (
     CombNetwork,
     choi_from_kraus,
     comb_from_pre_post,
-    kraus_of,
     make_channel,
 )
 from .haar import SeededRng
@@ -125,9 +124,9 @@ def build_cloner(d: int) -> ClonerAssembly:
     return ClonerAssembly(d=d, channel_a=a, channel_b=b, r1=r1)
 
 
-def cloner_channel(u: np.ndarray, tol: float = 1e-10) -> Channel:
+def cloner_channel(u: np.ndarray) -> Channel:
     """The emulated two-copy channel for gate ``u``, via Kraus composition."""
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     d = require_gate_dim(u.shape[0])
     lift = np.kron(u, np.eye(MEMORY_DIM))
     kraus = [kb @ lift @ ka for ka in kraus_pre_a(d) for kb in kraus_post_b(d)]
@@ -155,9 +154,9 @@ def _sandwich_choi(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def cloner_channel_closed_form(u: np.ndarray, tol: float = 1e-10) -> Channel:
+def cloner_channel_closed_form(u: np.ndarray) -> Channel:
     """The same two-copy channel evaluated from its closed-form action."""
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     d = require_gate_dim(u.shape[0])
     sec = sector_dims(d)
     dims = [sec["+"], sec["-"]]
@@ -169,13 +168,13 @@ def cloner_channel_closed_form(u: np.ndarray, tol: float = 1e-10) -> Channel:
     )
 
 
-def decohered_cloner_channel(u: np.ndarray, tol: float = 1e-10) -> Channel:
+def decohered_cloner_channel(u: np.ndarray) -> Channel:
     """The cloner with its memory dephased in the sector basis.
 
     Only the diagonal i = j terms of the closed form survive, with weight
     d/d_i; the fidelity collapses to 1/d^2.
     """
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     d = require_gate_dim(u.shape[0])
     sec = sector_dims(d)
     dims = [sec["+"], sec["-"]]
@@ -195,9 +194,8 @@ def memory_dephasing_kraus() -> list[np.ndarray]:
 
 def choi_r1_of_decohered_cloner(d: int) -> CombNetwork:
     """Comb of the cloner with the memory dephased between the two steps."""
-    a = pre_channel_a(d)
     deph = [np.kron(np.eye(d), p) for p in memory_dephasing_kraus()]
-    kraus_a = [dp @ ka for ka in kraus_of(a) for dp in deph]
+    kraus_a = [dp @ ka for ka in kraus_pre_a(d) for dp in deph]
     a_deph = choi_from_kraus(kraus_a, dims_in=[d, d], dims_out=[d, MEMORY_DIM],
                              labels_in=("0B", "0E"), labels_out=("1", "M"))
     return comb_from_pre_post(a_deph, post_channel_b(d), d, MEMORY_DIM)

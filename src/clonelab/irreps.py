@@ -232,16 +232,6 @@ class IrrepBlocks:
         r = self.rows[(mu, nu)]
         return complex(self.blocks[(mu, nu)][r.index(ik), r.index(jl)])
 
-    def hermiticity_residual(self) -> float:
-        return worst(max_abs(b - b.conj().T) for b in self.blocks.values())
-
-    def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
-                   for b in self.blocks.values())
-
-    def is_psd(self, tol: float = 1e-9) -> bool:
-        return self.hermiticity_residual() <= tol and self.min_eigenvalue() >= -tol
-
 
 def block_keys(d: int) -> list[tuple[tuple[str, str], tuple[tuple[str, str], ...]]]:
     """(mu, nu) block keys with their (i, k) row label tuples."""

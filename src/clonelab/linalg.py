@@ -5,6 +5,10 @@ layout; a square matrix on a tensor-product space is indexed by the flattened
 factor indices with the first factor most significant.  All gate dimensions in
 this package are capped at d = 4, so every operator fits comfortably in dense
 storage (the largest object is 4096 x 4096).
+
+Validation is decided here once: the tolerance constants below, the one
+gate check ``require_unitary`` and the one positivity residual
+``psd_residual``.
 """
 
 from __future__ import annotations
@@ -13,11 +17,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Global numerical floor used across the package.
-ATOL_EQ = 1e-9
-ATOL_PSD = 1e-9
-ATOL_UNITARY = 1e-10
-ATOL_HERMITIAN = 1e-10
+# The tolerances of every validation in the package, named once.
+ATOL_EQ = 1e-9  # an identity: trace preservation, Kraus completeness, comb normalization
+ATOL_PSD = 1e-9  # how far below zero the lowest eigenvalue of a PSD operator may sit
+ATOL_UNITARY = 1e-10  # U†U against the identity, for every gate
+ATOL_HERMITIAN = 1e-10  # Hermiticity of an operator given as Hermitian
+# Hermiticity accepted before the eigensolve of an operator the package has
+# computed (a Choi operator summed from products, a difference of states),
+# where rounding may exceed ATOL_HERMITIAN
+ATOL_HERMITIAN_EIG = 1e-8
+ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 
 GATE_DIM_MIN = 2
 GATE_DIM_MAX = 4
@@ -63,7 +72,9 @@ def require_gate_dim(d: int) -> int:
     """Validate a gate dimension against the supported range 2..4."""
     d = int(d)
     if not GATE_DIM_MIN <= d <= GATE_DIM_MAX:
-        raise ValueError(f"gate dimension d={d} unsupported; expected {GATE_DIM_MIN} <= d <= {GATE_DIM_MAX}")
+        raise DimensionMismatchError(
+            f"gate dimension d={d} unsupported; expected {GATE_DIM_MIN} <= d <= {GATE_DIM_MAX}"
+        )
     return d
 
 
@@ -153,14 +164,24 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """Max-norm residual of U†U against the identity."""
-    u = as_matrix(u)
-    return max_abs(dagger(u) @ u - np.eye(u.shape[1]))
+    """Max-norm residual of U†U against the identity, over a stack (..., n, n)."""
+    u = np.asarray(u, dtype=complex)
+    return max_abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(u.shape[-1]))
+
+
+def _require_square(m: np.ndarray) -> None:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
 
 
 def require_unitary(u, tol: float = ATOL_UNITARY) -> np.ndarray:
-    """The gate as a complex matrix; raises NotUnitaryError past ``tol``."""
-    u = as_matrix(u)
+    """The gate, or a stack of gates (..., n, n), as a complex array.
+
+    The one gate check of the package: raises DimensionMismatchError unless
+    square and NotUnitaryError past ``tol``.
+    """
+    u = np.asarray(u, dtype=complex)
+    _require_square(u)
     res = unitarity_residual(u)
     if not res <= tol:  # NaN fails
         raise NotUnitaryError(res, tol)
@@ -170,19 +191,11 @@ def require_unitary(u, tol: float = ATOL_UNITARY) -> np.ndarray:
 def require_hermitian(m, tol: float = ATOL_HERMITIAN) -> np.ndarray:
     """The operator as a complex matrix; raises NotHermitianError past ``tol``."""
     m = as_matrix(m)
+    _require_square(m)
     res = hermiticity_residual(m)
     if not res <= tol:  # NaN fails
         raise NotHermitianError(res, tol)
     return m
-
-
-def is_hermitian(m: np.ndarray, tol: float = ATOL_HERMITIAN) -> bool:
-    return hermiticity_residual(m) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = ATOL_UNITARY) -> bool:
-    u = as_matrix(u)
-    return u.shape[0] == u.shape[1] and unitarity_residual(u) <= tol
 
 
 def eig_hermitian(m: np.ndarray, tol: float = ATOL_HERMITIAN) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +207,13 @@ def eig_hermitian(m: np.ndarray, tol: float = ATOL_HERMITIAN) -> tuple[np.ndarra
     return np.linalg.eigh(require_hermitian(m, tol))
 
 
-def is_psd(m: np.ndarray, tol: float = ATOL_PSD) -> bool:
-    """True iff Hermitian within ``tol`` and min eigenvalue >= -tol."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    if hermiticity_residual(m) > tol:
-        return False
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return bool(w.min() >= -tol)
+def psd_residual(m, hermitian_tol: float) -> float:
+    """How far an operator is from PSD: its most negative eigenvalue, negated
+    (0.0 when PSD).
+
+    Raises NotHermitianError past ``hermitian_tol``, so a non-finite entry
+    fails before the eigensolve.  ``eigvalsh`` reads one triangle, which is
+    why Hermiticity is checked on the whole operator first.
+    """
+    w = np.linalg.eigvalsh(require_hermitian(m, hermitian_tol))
+    return worst((0.0, -w[0]))

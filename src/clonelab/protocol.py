@@ -37,7 +37,7 @@ import numpy as np
 from .channels import insert_gate
 from .cloner import choi_r1_of_cloner
 from .haar import SeededRng
-from .linalg import max_abs, partial_trace, require_unitary
+from .linalg import ATOL_EQ, max_abs, partial_trace, require_unitary
 
 STRATEGIES = ("none", "intercept_resend", "clone_attack")
 
@@ -110,11 +110,11 @@ def mutual_unbiasedness_matrix(bases: GateBases) -> np.ndarray:
     return _overlaps(_states(bases, bases.bell_raw, travel_first=False))[1, :, 0, :]
 
 
-def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> GateBases:
+def build_bases(bell_state: np.ndarray | None = None) -> GateBases:
     """Verify the seed state and assemble the two mutually unbiased gate bases.
 
     ``bell_state`` must be a maximally entangled two-qubit pure vector (both
-    reduced states I/2 within ``atol``); None selects the canonical seed
+    reduced states I/2 within ATOL_EQ); None selects the canonical seed
     (|00> + |11>)/sqrt(2).
     """
     sigma = pauli_matrices()
@@ -128,11 +128,10 @@ def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> Gat
     bell = raw / np.sqrt(np.vdot(raw, raw).real)
     rho = np.outer(bell, bell.conj())
     for factor in (0, 1):
-        red = partial_trace(rho, [2, 2], keep=[factor])
-        if max_abs(red - np.eye(2) / 2) > atol:
+        res = max_abs(partial_trace(rho, [2, 2], keep=[factor]) - np.eye(2) / 2)
+        if not res <= ATOL_EQ:  # NaN fails
             raise ValueError(
-                f"seed state is not maximally entangled: factor {factor} "
-                f"residual {max_abs(red - np.eye(2) / 2):.3e}"
+                f"seed state is not maximally entangled: factor {factor} residual {res:.3e}"
             )
     bases = GateBases(
         sigma=tuple(sigma),
@@ -142,11 +141,11 @@ def build_bases(bell_state: np.ndarray | None = None, atol: float = 1e-9) -> Gat
         bell=bell,
         bell_raw=raw,
     )
-    overlaps = mutual_unbiasedness_matrix(bases)
-    if max_abs(overlaps - 0.25) > 1e-9:
+    res = max_abs(mutual_unbiasedness_matrix(bases) - 0.25)
+    if not res <= ATOL_EQ:  # NaN fails
         raise ValueError(
             f"gate bases are not mutually unbiased for this seed: "
-            f"worst overlap deviation {max_abs(overlaps - 0.25):.3e}"
+            f"worst overlap deviation {res:.3e}"
         )
     return bases
 
@@ -160,17 +159,6 @@ class ProtocolStats:
     mode: str
     rounds: int | None = None
     seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "sift_rate": self.sift_rate,
-            "symbol_error_rate": self.symbol_error_rate,
-            "eve_guess_prob": self.eve_guess_prob,
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "seed": self.seed,
-        }
 
 
 # Eve's own entangled resource: canonical pair, traveling factor first.

@@ -13,6 +13,7 @@ from clonelab.channels import (
     choi_from_kraus,
     choi_of_unitary,
     comb_fidelity_functional,
+    comb_fidelity_functional_batch,
     comb_from_pre_post,
     comb_normalization_residuals,
     comb_to_json_dict,
@@ -26,7 +27,14 @@ from clonelab import cloner
 from clonelab.cloner import choi_r1_of_cloner, cloner_channel, first_factor_network
 from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import covariance_group_element
-from clonelab.linalg import DimensionMismatchError, NotHermitianError, NotUnitaryError, dagger
+from clonelab.linalg import (
+    ATOL_HERMITIAN_EIG,
+    DimensionMismatchError,
+    NotHermitianError,
+    NotUnitaryError,
+    dagger,
+    psd_residual,
+)
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -124,6 +132,13 @@ def test_apply_channel_dimension_mismatch():
     ch = choi_of_unitary(np.eye(2))
     with pytest.raises(DimensionMismatchError):
         apply_channel(ch, np.eye(3) / 3)
+
+
+def test_apply_channel_rejects_nan_state():
+    # a NaN trace residual must fail the trace check, not pass it
+    rho = np.diag([np.nan, 1.0]).astype(complex)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace"):
+        apply_channel(choi_of_unitary(np.eye(2)), rho)
 
 
 def test_kraus_choi_roundtrip():
@@ -252,8 +267,9 @@ def test_cp_residual_rejects_non_hermitian_choi():
     choi = np.eye(4, dtype=complex) / 2
     choi[0, 1] = 1e-6
     ch = make_channel(choi, dims_in=[2], dims_out=[2], validate=False)
-    with pytest.raises(NotHermitianError):
-        ch.cp_residual()
+    with pytest.raises(ValueError, match="not PSD") as err:
+        ch.validate()
+    assert isinstance(err.value.__cause__, NotHermitianError)
 
 
 def test_cp_residual_matches_eigh_on_non_psd_choi():
@@ -263,7 +279,7 @@ def test_cp_residual_matches_eigh_on_non_psd_choi():
     ch = make_channel(choi, dims_in=[4], dims_out=[4], validate=False)
     expected = -np.linalg.eigh(choi)[0].min()
     assert expected > 0.1
-    assert abs(ch.cp_residual() - expected) <= 1e-12
+    assert abs(psd_residual(ch.choi, ATOL_HERMITIAN_EIG) - expected) <= 1e-12
     with pytest.raises(ValueError, match="not PSD"):
         ch.validate()
 
@@ -292,6 +308,37 @@ def test_validators_reject_nan_inputs():
         CombNetwork(choi=bad, d=2).validate()
     with pytest.raises(CompletenessError):
         choi_from_kraus([nan_gate])
+
+
+# every function that takes a gate, as a function of the gate alone (d = 2)
+GATE_ENTRY_POINTS = {
+    "choi_of_unitary": choi_of_unitary,
+    "insert_gate": lambda u: insert_gate(choi_r1_of_cloner(2), u),
+    "channel_fidelity_with_double_unitary":
+        lambda u: channel_fidelity_with_double_unitary(cloner_channel(np.eye(2)), u),
+    "comb_fidelity_functional": lambda u: comb_fidelity_functional(choi_r1_of_cloner(2).choi, u, 2),
+    "comb_fidelity_functional_batch":
+        lambda u: comb_fidelity_functional_batch(choi_r1_of_cloner(2).choi, u[None], 2),
+    "cloner_channel": cloner_channel,
+    "cloner_channel_closed_form": cloner.cloner_channel_closed_form,
+    "decohered_cloner_channel": cloner.decohered_cloner_channel,
+}
+BAD_GATES = {
+    "isometry": np.eye(3)[:, :2],  # U†U = I, but not square
+    "five_identity": 5.0 * np.eye(2),
+    "nan": np.diag([np.nan, 1.0]),
+    "wrong_d": np.roll(np.eye(5), 1, axis=0),  # unitary, but d = 5
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in GATE_ENTRY_POINTS for bad in BAD_GATES
+    # choi_of_unitary takes a unitary of any size, so it has no d to get wrong
+    if (entry, bad) != ("choi_of_unitary", "wrong_d")
+])
+def test_gate_entry_points_reject_bad_gates(entry, bad):
+    with pytest.raises((NotUnitaryError, DimensionMismatchError)):
+        GATE_ENTRY_POINTS[entry](BAD_GATES[bad])
 
 
 def test_insert_gate_trace_and_dimension_check():

@@ -4,9 +4,13 @@ import pytest
 from clonelab.channels import (
     apply_channel,
     channel_fidelity_with_double_unitary,
+    choi_from_kraus,
+    comb_from_pre_post,
     insert_gate,
+    kraus_of,
 )
 from clonelab.cloner import (
+    MEMORY_DIM,
     build_cloner,
     choi_r1_of_cloner,
     choi_r1_of_decohered_cloner,
@@ -19,13 +23,14 @@ from clonelab.cloner import (
     kraus_post_b,
     kraus_pre_a,
     memory_basis_change,
+    memory_dephasing_kraus,
     post_channel_b,
     pre_channel_a,
 )
 from clonelab.baselines import f_random
 from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import sector_dims, sym_antisym_projectors, verify_covariance
-from clonelab.linalg import dagger, max_abs, partial_trace
+from clonelab.linalg import dagger, eig_hermitian, max_abs, partial_trace, psd_residual
 from clonelab.optimizer import analytic_bound
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,12 +221,26 @@ def test_assembly_bundles_validated_parts():
 
 
 def test_constructed_choi_operators_are_psd():
-    from clonelab.linalg import eig_hermitian, is_psd
-
     assembly = build_cloner(2)
     for choi in (assembly.channel_a.choi, assembly.channel_b.choi,
                  cloner_channel(SIGMA_1).choi):
-        assert is_psd(choi, 1e-9)
+        assert psd_residual(choi, 1e-9) <= 1e-9
         w, _ = eig_hermitian(choi, tol=1e-8)
         assert w.min() >= -1e-9
     assembly.r1.validate(check_psd=True)  # full PSD validation at qubit scale
+
+
+def reference_choi_r1_of_decohered_cloner(d):
+    """The decohered comb with its pre-channel's Kraus operators recovered by
+    eigendecomposing the pre-channel's Choi operator, kept as an oracle."""
+    deph = [np.kron(np.eye(d), p) for p in memory_dephasing_kraus()]
+    kraus_a = [dp @ ka for ka in kraus_of(pre_channel_a(d)) for dp in deph]
+    a_deph = choi_from_kraus(kraus_a, dims_in=[d, d], dims_out=[d, MEMORY_DIM],
+                             labels_in=("0B", "0E"), labels_out=("1", "M"))
+    return comb_from_pre_post(a_deph, post_channel_b(d), d, MEMORY_DIM)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decohered_comb_matches_reference(d):
+    ref = reference_choi_r1_of_decohered_cloner(d).choi
+    assert max_abs(choi_r1_of_decohered_cloner(d).choi - ref) <= 1e-12

@@ -8,11 +8,9 @@ from clonelab.linalg import (
     dagger,
     eig_hermitian,
     hermiticity_residual,
-    is_hermitian,
-    is_psd,
-    is_unitary,
     partial_trace,
     permute_factors,
+    psd_residual,
     require_gate_dim,
     require_hermitian,
     require_unitary,
@@ -149,17 +147,27 @@ def test_eig_hermitian_rejects_non_hermitian():
     assert err.value.residual == pytest.approx(1.0)
 
 
-def test_is_psd():
-    assert is_psd(np.eye(3), 1e-10)
-    assert not is_psd(SIGMA_3, 1e-10)
-    assert not is_psd(np.array([[0, 1], [0, 0]]), 1e-10)  # non-Hermitian
+def test_psd_residual():
+    assert psd_residual(np.eye(3), 1e-10) == 0.0
+    assert psd_residual(SIGMA_3, 1e-10) == pytest.approx(1.0)
+    with pytest.raises(NotHermitianError):
+        psd_residual(np.array([[0, 1], [0, 0]]), 1e-10)
+    nan = np.eye(2, dtype=complex)
+    nan[0, 1] = np.nan  # one triangle only: eigvalsh alone would not see it
+    with pytest.raises(NotHermitianError):
+        psd_residual(nan, 1e-10)
 
 
-def test_is_unitary_and_hermitian_predicates():
-    assert is_unitary(SIGMA_1)
-    assert is_hermitian(SIGMA_1)
-    assert not is_unitary(np.array([[1, 0], [0, 2]]))
+def test_unitary_and_hermitian_checks():
+    assert require_unitary(SIGMA_1) is not None
+    assert require_hermitian(SIGMA_1) is not None
+    with pytest.raises(NotUnitaryError):
+        require_unitary(np.array([[1, 0], [0, 2]]))
     assert hermiticity_residual(SIGMA_1) == 0.0
+    for bad in (np.eye(3)[:, :2], np.ones(2), np.eye(3)[:2]):
+        for check in (require_unitary, require_hermitian):
+            with pytest.raises(DimensionMismatchError):
+                check(bad)
 
 
 def test_require_gate_dim_bounds():
@@ -184,6 +192,13 @@ def test_require_unitary_returns_matrix_or_raises():
         require_unitary(np.diag([1.0, 1.0 + 1e-6]))
     assert err.value.tol == 1e-10
     require_unitary(np.diag([1.0, 1.0 + 1e-6]), tol=1e-5)
+    # a stack of gates is checked at once
+    stack = np.array([np.eye(2), SIGMA_1, SIGMA_3], dtype=complex)
+    assert require_unitary(stack).shape == (3, 2, 2)
+    stack[1] *= 5.0
+    with pytest.raises(NotUnitaryError) as err:
+        require_unitary(stack)
+    assert err.value.residual == pytest.approx(24.0)
 
 
 def test_require_hermitian_tolerance():

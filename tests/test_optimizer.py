@@ -10,6 +10,7 @@ from clonelab.cloner import closed_form_fidelity
 from clonelab.haar import SeededRng, haar_unitaries
 from clonelab.irreps import (MU_LABELS, block_keys, build_irrep_table, choi_from_blocks,
                              irrep_dims, sector_dims, valid_sectors)
+from clonelab.linalg import psd_residual, worst
 from clonelab.optimizer import (
     ConvergenceError,
     analytic_bound,
@@ -183,7 +184,8 @@ def test_solve_clone_matches_analytic(d):
     assert abs(result.optimal_value - analytic_bound(d)) < 1e-6
     assert result.optimal_value <= analytic_bound(d) + 1e-7
     assert result.kkt_residual < 1e-8
-    assert result.optimal_blocks.is_psd(1e-9)
+    blocks = result.optimal_blocks.blocks.values()
+    assert worst(psd_residual(b, 1e-9) for b in blocks) <= 1e-9
 
 
 @pytest.mark.parametrize("d,expected", [(2, 5 / 16), (3, 6 / 81), (4, 6 / 256)])

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -152,6 +154,12 @@ def test_build_bases_rejects_product_state():
         build_bases(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def test_build_bases_rejects_nan_seed():
+    # a NaN residual must fail the entanglement check, not pass it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="maximally entangled"):
+        build_bases(np.array([np.nan, 0.0, 0.0, 1.0]))
+
+
 def test_mutual_unbiasedness_for_random_seeds():
     for i in range(10):
         bases = build_bases(random_max_entangled(i))
@@ -267,7 +275,7 @@ def test_sampled_reproducible():
 
 
 def test_stats_dict_shape():
-    d = run_exact("none", build_bases()).as_dict()
+    d = asdict(run_exact("none", build_bases()))
     assert set(d) == {"strategy", "sift_rate", "symbol_error_rate",
                       "eve_guess_prob", "mode", "rounds", "seed"}
 
