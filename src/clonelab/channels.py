@@ -29,6 +29,7 @@ from .linalg import (
     DimensionMismatchError,
     NotHermitianError,
     as_matrix,
+    as_operator,
     dagger,
     eig_hermitian,
     max_abs,
@@ -340,7 +341,7 @@ def comb_fidelity_functional(choi: np.ndarray, u: np.ndarray, d: int) -> float:
     covariant operators, where it evaluates the same quadratic functional.
     """
     w = _functional_vectors(np.asarray(u)[None], d)[0]
-    return float(np.real(w.conj() @ as_matrix(choi) @ w)) / d**4
+    return float(np.real(w.conj() @ as_operator(choi, d**6) @ w)) / d**4
 
 
 def comb_fidelity_functional_batch(choi: np.ndarray, us: np.ndarray, d: int) -> np.ndarray:
@@ -350,7 +351,7 @@ def comb_fidelity_functional_batch(choi: np.ndarray, us: np.ndarray, d: int) -> 
     so the operator R is read once for the whole stack.
     """
     w = _functional_vectors(us, d)
-    return np.real(np.einsum("si,is->s", w.conj(), as_matrix(choi) @ w.T)) / d**4
+    return np.real(np.einsum("si,is->s", w.conj(), as_operator(choi, d**6) @ w.T)) / d**4
 
 
 def _functional_vectors(us, d: int) -> np.ndarray:

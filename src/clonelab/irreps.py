@@ -29,7 +29,8 @@ import numpy as np
 
 from .channels import max_entangled_vec
 from .haar import SeededRng, sample_haar_unitary
-from .linalg import as_matrix, max_abs, require_gate_dim, tensor, worst
+from .linalg import (ATOL_COVARIANCE, as_matrix, as_operator, max_abs, require_gate_dim, tensor,
+                     worst)
 
 MU_LABELS = ("alpha", "beta", "gamma")
 SECTOR_SIGNS = ("+", "-")
@@ -86,28 +87,19 @@ def valid_sectors(mu: str, d: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class IrrepTable:
-    """Projectors and intertwiners of the triple-space decomposition.
+    """Intertwiners of the triple-space decomposition.
 
-    ``projectors`` maps (mu, sign) to the projector onto that subspace of
-    H (x) H (x) H (conjugated factor last).  ``intertwiners`` maps
-    (mu, i, j) to T^mu_ij = sum_n |mu,i,n><mu,j,n| in the same ordering;
-    ``intertwiners_conj_first`` holds the factor-cycled copies used on the
-    (2, 3B, 3E) triple.  The alpha bases in both sectors share the index n,
-    which realizes their equivalence concretely.
+    ``intertwiners`` maps (mu, i, j) to T^mu_ij = sum_n |mu,i,n><mu,j,n| on
+    H (x) H (x) H (conjugated factor last); the diagonal T^mu_ii is the
+    projector onto the irrep mu in sector i.  ``intertwiners_conj_first``
+    holds the factor-cycled copies used on the (2, 3B, 3E) triple.  The alpha
+    bases in both sectors share the index n, which realizes their
+    equivalence concretely.
     """
 
     d: int
-    d_plus: int
-    d_minus: int
-    d_alpha: int
-    d_beta: int
-    d_gamma: int
-    projectors: Mapping[tuple[str, str], np.ndarray]
     intertwiners: Mapping[tuple[str, str, str], np.ndarray]
     intertwiners_conj_first: Mapping[tuple[str, str, str], np.ndarray]
-
-    def dim(self, mu: str) -> int:
-        return {"alpha": self.d_alpha, "beta": self.d_beta, "gamma": self.d_gamma}[mu]
 
 
 def conj_first(op: np.ndarray, d: int) -> np.ndarray:
@@ -117,11 +109,11 @@ def conj_first(op: np.ndarray, d: int) -> np.ndarray:
 
 
 def build_irrep_table(d: int) -> IrrepTable:
-    """Construct projectors and intertwiners for 2 <= d <= 4.
+    """Construct the intertwiners for 2 <= d <= 4.
 
     The alpha basis is |alpha,i,n> = sqrt(d/d_i) (P_i (x) I)(|n> (x) |I>),
-    orthonormal by construction; beta/gamma projectors are the sector
-    complements of the alpha projectors.
+    orthonormal by construction; the beta/gamma intertwiners are the
+    projectors onto the sector complements of the alpha projectors.
     """
     d = require_gate_dim(d)
     p_plus, p_minus = sym_antisym_projectors(d)
@@ -139,36 +131,14 @@ def build_irrep_table(d: int) -> IrrepTable:
             cols.append(np.sqrt(d / sec[sign]) * (lift @ np.kron(e_n, ivec)))
         alpha_basis[sign] = np.array(cols).T  # d^3 x d, orthonormal columns
 
-    projectors: dict[tuple[str, str], np.ndarray] = {}
-    for sign in SECTOR_SIGNS:
-        projectors[("alpha", sign)] = alpha_basis[sign] @ alpha_basis[sign].conj().T
-    projectors[("beta", "+")] = np.kron(sec_proj["+"], np.eye(d)) - projectors[("alpha", "+")]
-    if d >= 3:
-        projectors[("gamma", "-")] = (
-            np.kron(sec_proj["-"], np.eye(d)) - projectors[("alpha", "-")]
-        )
-
-    intertwiners: dict[tuple[str, str, str], np.ndarray] = {}
-    for i in SECTOR_SIGNS:
-        for j in SECTOR_SIGNS:
-            intertwiners[("alpha", i, j)] = alpha_basis[i] @ alpha_basis[j].conj().T
-    intertwiners[("beta", "+", "+")] = projectors[("beta", "+")]
-    if d >= 3:
-        intertwiners[("gamma", "-", "-")] = projectors[("gamma", "-")]
-
+    intertwiners = {("alpha", i, j): alpha_basis[i] @ alpha_basis[j].conj().T
+                    for i in SECTOR_SIGNS for j in SECTOR_SIGNS}
+    for mu, sign in (("beta", "+"), ("gamma", "-")):
+        if sign in valid_sectors(mu, d):
+            intertwiners[(mu, sign, sign)] = (np.kron(sec_proj[sign], np.eye(d))
+                                              - intertwiners[("alpha", sign, sign)])
     cycled = {key: conj_first(t, d) for key, t in intertwiners.items()}
-    dims = irrep_dims(d)
-    return IrrepTable(
-        d=d,
-        d_plus=sec["+"],
-        d_minus=sec["-"],
-        d_alpha=dims["alpha"],
-        d_beta=dims["beta"],
-        d_gamma=dims["gamma"],
-        projectors=projectors,
-        intertwiners=intertwiners,
-        intertwiners_conj_first=cycled,
-    )
+    return IrrepTable(d=d, intertwiners=intertwiners, intertwiners_conj_first=cycled)
 
 
 def covariance_group_element(d: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -192,9 +162,7 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
     c1), and that of g m is A[r1] Z with Z = (I (x) B) m, so the one
     operator-sized temporary is Z, reused across trials.
     """
-    m = as_matrix(m)
-    if m.shape != (d**6, d**6):
-        raise ValueError(f"expected a {d**6} x {d**6} operator, got {m.shape}")
+    m = as_operator(m, d**6)
     rng = rng or SeededRng(0)
     n3 = d**3
     m4 = m.reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
@@ -226,7 +194,10 @@ class IrrepBlocks:
 
     d: int
     blocks: Mapping[tuple[str, str], np.ndarray]
-    rows: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
+
+    @property
+    def rows(self) -> dict[tuple[str, str], tuple[tuple[str, str], ...]]:
+        return dict(block_keys(self.d))
 
     def entry(self, mu: str, nu: str, ik: tuple[str, str], jl: tuple[str, str]) -> complex:
         r = self.rows[(mu, nu)]
@@ -248,14 +219,13 @@ def block_keys(d: int) -> list[tuple[tuple[str, str], tuple[tuple[str, str], ...
     return out
 
 
-def blocks_from_choi(choi: np.ndarray, table: IrrepTable,
-                     covariance_tol: float = 1e-8, trials: int = 5,
+def blocks_from_choi(choi: np.ndarray, table: IrrepTable, trials: int = 5,
                      rng: SeededRng | None = None) -> IrrepBlocks:
     """Extract the coefficient blocks of a covariant operator.
 
     Each entry is Tr[(T^mu_ji (x) T~^nu_lk) R] / (d_mu d_nu), the divisor
     being Tr[T T†] per intertwiner; rejects operators whose covariance
-    residual exceeds ``covariance_tol``.  With R realigned once into
+    residual exceeds ``ATOL_COVARIANCE``.  With R realigned once into
     K[(p,q),(r,s)] = R[(q,s),(p,r)], so that Tr[(A (x) B) R] =
     vec(A)^T K vec(B), each block is one product over the stacked
     intertwiners.
@@ -263,13 +233,13 @@ def blocks_from_choi(choi: np.ndarray, table: IrrepTable,
     choi = as_matrix(choi)
     d = table.d
     res = verify_covariance(choi, d, trials=trials, rng=rng)
-    if not res <= covariance_tol:  # NaN fails
-        raise NotCovariantError(res, covariance_tol)
+    if not res <= ATOL_COVARIANCE:  # NaN fails
+        raise NotCovariantError(res, ATOL_COVARIANCE)
     n3 = d**3
     realigned = choi.reshape(n3, n3, n3, n3).transpose(2, 0, 3, 1).reshape(n3 * n3, n3 * n3)
+    dims = irrep_dims(d)
     left = {}  # mu -> rows vec(T^mu_ji) K over the sector pairs (i, j)
     blocks = {}
-    rows = {}
     for (mu, nu), labels in block_keys(d):
         sm, sn = valid_sectors(mu, d), valid_sectors(nu, d)
         if mu not in left:
@@ -279,9 +249,8 @@ def blocks_from_choi(choi: np.ndarray, table: IrrepTable,
                           for k in sn for l in sn])
         g = (left[mu] @ right.T).reshape(len(sm), len(sm), len(sn), len(sn))  # [i, j, k, l]
         n = len(labels)
-        blocks[(mu, nu)] = g.transpose(0, 2, 1, 3).reshape(n, n) / (table.dim(mu) * table.dim(nu))
-        rows[(mu, nu)] = labels
-    return IrrepBlocks(d=d, blocks=blocks, rows=rows)
+        blocks[(mu, nu)] = g.transpose(0, 2, 1, 3).reshape(n, n) / (dims[mu] * dims[nu])
+    return IrrepBlocks(d=d, blocks=blocks)
 
 
 def choi_from_blocks(blocks: IrrepBlocks, table: IrrepTable) -> np.ndarray:
@@ -303,6 +272,7 @@ def choi_from_blocks(blocks: IrrepBlocks, table: IrrepTable) -> np.ndarray:
 def block_fidelity(blocks: IrrepBlocks, table: IrrepTable) -> float:
     """Haar-averaged fidelity (1/d^4) sum_mu d_mu sum_ij r^{mu mu}_{ii,jj}."""
     d = table.d
+    dims = irrep_dims(d)
     total = 0.0 + 0.0j
     for mu in MU_LABELS:
         signs = valid_sectors(mu, d)
@@ -310,5 +280,5 @@ def block_fidelity(blocks: IrrepBlocks, table: IrrepTable) -> float:
             continue
         for i in signs:
             for j in signs:
-                total += table.dim(mu) * blocks.entry(mu, mu, (i, i), (j, j))
+                total += dims[mu] * blocks.entry(mu, mu, (i, i), (j, j))
     return float(np.real(total)) / d**4

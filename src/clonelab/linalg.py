@@ -27,6 +27,9 @@ ATOL_HERMITIAN = 1e-10  # Hermiticity of an operator given as Hermitian
 # where rounding may exceed ATOL_HERMITIAN
 ATOL_HERMITIAN_EIG = 1e-8
 ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
+# commutator residual with random group elements accepted before the
+# coefficient blocks of an operator are extracted
+ATOL_COVARIANCE = 1e-8
 
 GATE_DIM_MIN = 2
 GATE_DIM_MAX = 4
@@ -66,6 +69,14 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got array of ndim {a.ndim}")
     return a
+
+
+def as_operator(m, n: int) -> np.ndarray:
+    """``m`` as an n x n complex matrix; raises DimensionMismatchError otherwise."""
+    m = as_matrix(m)
+    if m.shape != (n, n):
+        raise DimensionMismatchError(f"expected a {n} x {n} operator, got shape {m.shape}")
+    return m
 
 
 def require_gate_dim(d: int) -> int:

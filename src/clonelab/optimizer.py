@@ -12,16 +12,18 @@ Internally the blocks are rescaled as Y^{mu nu} = d_mu d_nu X^{mu nu}, which
 preserves the PSD cone and removes the large coefficient spread from the
 constraints; the reported maximizer is unscaled back to X.
 
-The real coordinates of a block set are an isometry of the Frobenius inner
-product: for Hermitian block sets F and X, <flatten(F), flatten(X)> =
-Re sum_{mu nu} Tr[F^{mu nu} X^{mu nu}].  So the objective and every
-constraint row are written as the flattened coefficient blocks F of their
-linear functional.
+The real coordinates of a block set are the (re, im) float view of its
+concatenated complex entries, an isometry of the Frobenius inner product:
+<flatten(A), flatten(B)> = Re sum_{mu nu} Tr[A^{mu nu}† B^{mu nu}], which for
+Hermitian F is Re sum Tr[F X].  So the objective and every constraint row
+are written as the flattened coefficient blocks F of their linear
+functional.  Residuals are max-norms over an orthonormal Hermitian basis,
+read through ``weights``: sqrt(2) on an off-diagonal entry, 1 on the real
+part of a diagonal entry and 0 on its imaginary part.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,77 +53,49 @@ class ConvergenceError(RuntimeError):
 class _HermitianBlockSpace:
     """Real coordinates for a direct sum of Hermitian blocks.
 
-    Each n x n block contributes n real diagonal coordinates followed by
-    sqrt(2)-scaled (re, im) pairs for the upper triangle; the scaling makes
-    the coordinate map an isometry, so Euclidean projections in coordinates
-    are projections in the Frobenius norm.
-
-    Internally the entries of all blocks form one complex vector in which
-    blocks of equal size sit next to each other, so each size is one stack
-    of matrices.  ``__init__`` alone knows the coordinate layout: it builds
-    the index arrays both ways between that vector and the coordinates.
+    The coordinates are the (re, im) floats of the entries of all blocks,
+    which sit in one complex vector: blocks stably sorted by size, each
+    row-major, so the blocks of one size form one stack of matrices.
     """
 
     def __init__(self, keys):
         self.keys = [k for k, _ in keys]
         self.rows = dict(keys)
         sizes = [len(labels) for _, labels in keys]
-        self.dim = sum(n * n for n in sizes)
-        # entry vector: blocks stably sorted by size, each block row-major
-        order = sorted(range(len(keys)), key=sizes.__getitem__)
-        start = dict(zip(order, itertools.accumulate((sizes[b] ** 2 for b in order), initial=0)))
-        self._blocks = {self.keys[b]: (start[b], sizes[b]) for b in order}
+        self._blocks = {}  # key -> (first entry, n)
         self._stacks = []  # (n, lo, hi): the entries of all n x n blocks
+        hi = 0
         for n in sorted(set(sizes)):
-            lo = min(start[b] for b in order if sizes[b] == n)
-            self._stacks.append((n, lo, lo + sizes.count(n) * n * n))
-
-        # coordinate p = _scl[p] times component _src[p] of the entry vector
-        # read as interleaved (re, im) floats; coordinates are appended in order
-        src, scl = [], []
-        # entry e = _mul[e] times the coordinates _take[e] of its (re, im);
-        # coordinate ``dim`` reads a constant zero (imaginary part of a diagonal)
-        take = [None] * self.dim
-        mul = [None] * self.dim
-        half = 1.0 / np.sqrt(2)
-        for b, n in enumerate(sizes):
-            entry = [[start[b] + a * n + c for c in range(n)] for a in range(n)]
-            for a in range(n):
-                take[entry[a][a]], mul[entry[a][a]] = (len(src), self.dim), (1.0, 0.0)
-                src.append(2 * entry[a][a])
-                scl.append(1.0)
-            for a in range(n):
-                for c in range(a + 1, n):
-                    take[entry[a][c]] = take[entry[c][a]] = (len(src), len(src) + 1)
-                    mul[entry[a][c]], mul[entry[c][a]] = (half, half), (half, -half)
-                    src += [2 * entry[a][c], 2 * entry[a][c] + 1]
-                    scl += [np.sqrt(2)] * 2
-        self._src, self._scl = np.array(src), np.array(scl)
-        self._take, self._mul = np.array(take), np.array(mul)
-
-    def _entries(self, x: np.ndarray) -> np.ndarray:
-        return (np.append(x, 0.0)[self._take] * self._mul).view(complex).reshape(-1)
-
-    def _coords(self, entries: np.ndarray) -> np.ndarray:
-        return entries.view(float)[self._src] * self._scl
+            lo = hi
+            for key, m in zip(self.keys, sizes):
+                if m == n:
+                    self._blocks[key] = (hi, n)
+                    hi += n * n
+            self._stacks.append((n, lo, hi))
+        self.dim = 2 * hi
+        # the max-norm over an orthonormal Hermitian basis, per (re, im) float
+        weights = np.full(hi, np.sqrt(2) * (1 + 1j))
+        for s, n in self._blocks.values():
+            weights[s:s + n * n:n + 1] = 1.0
+        self.weights = weights.view(float)
 
     def unflatten(self, x: np.ndarray) -> dict:
-        e = self._entries(x)
+        e = x.view(complex)
         return {key: e[s:s + n * n].reshape(n, n)
                 for key in self.keys for s, n in [self._blocks[key]]}
 
     def flatten(self, mats: dict) -> np.ndarray:
-        return self._coords(np.concatenate([mats[key] for key in self._blocks],
-                                           axis=None, dtype=complex))
+        return np.concatenate([mats[key] for key in self._blocks],
+                              axis=None, dtype=complex).view(float)
 
     def psd_project(self, x: np.ndarray) -> np.ndarray:
-        e = self._entries(x)
+        e = x.view(complex)
         out = []
         for n, lo, hi in self._stacks:
             w, v = np.linalg.eigh(e[lo:hi].reshape(-1, n, n))
             np.clip(w, 0, None, out=w)
             out.append((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
-        return self._coords(np.concatenate(out, axis=None))
+        return np.concatenate(out, axis=None).view(float)
 
 
 @dataclass(frozen=True)
@@ -239,9 +213,10 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     ``tol`` bounds the distance of the reported objective from the true
     optimum; the inner stopping threshold is tol/10 on all residuals.
     """
-    if tol < 1e-9:
+    if not tol >= 1e-9:  # NaN fails
         raise ValueError(f"tol must be >= 1e-9, got {tol}")
     space = problem.space
+    weights = space.weights
     a_mat = problem.constraints
     b = problem.rhs
     c = problem.objective
@@ -262,8 +237,8 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
         z_prev = z
         z = space.psd_project(x + u)
         u += x - z
-        primal = float(np.abs(x - z).max())
-        dual = float(rho * np.abs(z - z_prev).max())
+        primal = float(np.abs(weights * (x - z)).max())
+        dual = float(rho * np.abs(weights * (z - z_prev)).max())
         if primal < inner and dual < inner:
             break
         if it % 50 == 0:
@@ -276,13 +251,12 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     cons = float(np.abs(a_mat @ z - b).max())
     kkt = max(primal, dual, cons)
     value = float(c @ z)
-    if primal >= inner or dual >= inner:
+    if not (primal < inner and dual < inner):  # NaN fails
         raise ConvergenceError(value, kkt, it)
 
     mats = space.unflatten(z)
     blocks = {key: mats[key] / problem.scale[key] for key in space.keys}
-    rows = {key: space.rows[key] for key in space.keys}
-    optimal = IrrepBlocks(d=problem.d, blocks=blocks, rows=rows)
+    optimal = IrrepBlocks(d=problem.d, blocks=blocks)
     return OptimizationResult(
         optimal_value=value,
         optimal_blocks=optimal,

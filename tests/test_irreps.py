@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clonelab.channels import comb_fidelity_functional
+from clonelab.channels import comb_fidelity_functional, comb_fidelity_functional_batch
 from clonelab.cloner import (choi_r1_of_cloner, choi_r1_of_decohered_cloner, closed_form_fidelity,
                             first_factor_network)
 from clonelab.haar import SeededRng, sample_haar_unitary
 from clonelab.irreps import (
+    MU_LABELS,
     IrrepBlocks,
     NotCovariantError,
     block_fidelity,
@@ -22,7 +23,7 @@ from clonelab.irreps import (
     valid_sectors,
     verify_covariance,
 )
-from clonelab.linalg import dagger, max_abs, psd_residual, tensor, worst
+from clonelab.linalg import DimensionMismatchError, dagger, max_abs, psd_residual, tensor, worst
 
 
 def reference_blocks_from_choi(choi, table):
@@ -30,11 +31,12 @@ def reference_blocks_from_choi(choi, table):
     covariance guard: the loop the realigned products replaced."""
     d = table.d
     r12 = choi.reshape([d] * 12)
+    dims = irrep_dims(d)
     blocks = {}
     for (mu, nu), labels in block_keys(d):
         n = len(labels)
         b = np.zeros((n, n), dtype=complex)
-        norm = table.dim(mu) * table.dim(nu)
+        norm = dims[mu] * dims[nu]
         for a, (i, k) in enumerate(labels):
             for c, (j, l) in enumerate(labels):
                 tm = table.intertwiners[(mu, j, i)].reshape([d] * 6)
@@ -84,12 +86,14 @@ def test_irrep_dimension_table(d, expected):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_projector_ranks_match_dimensions(d):
+    # the diagonal intertwiners T^mu_ii are the irrep projectors
     table = build_irrep_table(d)
-    for (mu, sign), proj in table.projectors.items():
+    projectors = [(mu, t) for (mu, i, j), t in table.intertwiners.items() if i == j]
+    assert len(projectors) == sum(len(valid_sectors(mu, d)) for mu in MU_LABELS)
+    for mu, proj in projectors:
         assert max_abs(proj @ proj - proj) < 1e-12
-        assert round(np.trace(proj).real) == table.dim(mu)
-    total = sum(table.projectors[(mu, s)] for mu in ("alpha", "beta", "gamma")
-                for s in valid_sectors(mu, d) if (mu, s) in table.projectors)
+        assert round(np.trace(proj).real) == irrep_dims(d)[mu]
+    total = sum(proj for _, proj in projectors)
     assert max_abs(total - np.eye(d**3)) < 1e-12
 
 
@@ -128,6 +132,7 @@ def test_group_action_preserves_blocks(d):
     table = build_irrep_table(d)
     rng = SeededRng(21)
     labels = [(mu, s) for mu in ("alpha", "beta", "gamma") for s in valid_sectors(mu, d)]
+    t = table.intertwiners
     for trial in range(10):
         v = sample_haar_unitary(d, rng.substream(trial))
         g3 = tensor(v, v, v.conj())
@@ -135,7 +140,7 @@ def test_group_action_preserves_blocks(d):
             for nu, s2 in labels:
                 if mu == nu:
                     continue
-                cross = table.projectors[(mu, s1)] @ g3 @ table.projectors[(nu, s2)]
+                cross = t[(mu, s1, s1)] @ g3 @ t[(nu, s2, s2)]
                 assert max_abs(cross) < 1e-9
 
 
@@ -169,6 +174,18 @@ def test_blocks_from_choi_rejects_nan_operator():
     assert np.isnan(err.value.residual)
 
 
+@pytest.mark.parametrize("check", [
+    lambda op: comb_fidelity_functional(op, np.eye(2), 2),
+    lambda op: comb_fidelity_functional_batch(op, np.eye(2)[None], 2),
+    lambda op: verify_covariance(op, 2),
+    lambda op: blocks_from_choi(op, build_irrep_table(2)),
+], ids=["comb_fidelity_functional", "comb_fidelity_functional_batch", "verify_covariance",
+        "blocks_from_choi"])
+def test_wrong_size_operator_is_a_dimension_mismatch(check):
+    with pytest.raises(DimensionMismatchError):
+        check(np.eye(10))
+
+
 def test_optimal_cloner_blocks_saturate_bound_structure():
     # only the alpha-sector entries with paired signs survive, with the
     # saturating values sqrt(d_i d_j) / d
@@ -192,13 +209,11 @@ def test_optimal_cloner_blocks_saturate_bound_structure():
 def _random_covariant_blocks(d, table, rng):
     gen = rng.generator()
     blocks = {}
-    rows = {}
     for key, labels in block_keys(d):
         n = len(labels)
         g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         blocks[key] = g @ g.conj().T
-        rows[key] = labels
-    return IrrepBlocks(d=d, blocks=blocks, rows=rows)
+    return IrrepBlocks(d=d, blocks=blocks)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -19,9 +19,11 @@ from clonelab.optimizer import (
 )
 
 
-# Reference oracles: the per-entry coordinate map and the entry-functional
-# assembly of the objective and constraints that the index-array block space
-# and the flattened coefficient blocks replaced.
+# Reference oracles: the per-entry coordinate map (n real diagonal
+# coordinates, then sqrt(2)-scaled (re, im) pairs of the upper triangle, an
+# orthonormal Hermitian basis) and the entry-functional assembly of the
+# objective and constraints that the entry view and the flattened
+# coefficient blocks replaced.
 
 def reference_layout(space):
     sizes = [len(space.rows[key]) for key in space.keys]
@@ -88,8 +90,15 @@ def reference_psd_project(space, x):
     return reference_flatten(space, out)
 
 
-class ReferenceBlockSpace(optimizer._HermitianBlockSpace):
-    """The block space with the per-entry reference maps swapped in."""
+class ReferenceBlockSpace:
+    """A block space on the per-entry reference coordinates; they are
+    orthonormal, so their max-norm needs no weights."""
+
+    def __init__(self, keys):
+        self.keys = [k for k, _ in keys]
+        self.rows = dict(keys)
+        self.dim = sum(len(labels) ** 2 for _, labels in keys)
+        self.weights = np.ones(self.dim)
 
     flatten = reference_flatten
     unflatten = reference_unflatten
@@ -271,44 +280,63 @@ def test_tolerance_validation():
         build_problem(5, "clone")
 
 
+def test_solve_rejects_nan_tolerance():
+    # a NaN tolerance would pass an ordered comparison and never stop
+    with pytest.raises(ValueError):
+        solve(build_problem(2, "clone"), tol=float("nan"), max_iterations=300)
+
+
 @pytest.mark.parametrize("task", ["clone", "learn"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_block_space_matches_reference_bitwise(d, task):
     space = build_problem(d, task).space
+    ref = ReferenceBlockSpace(block_keys(d))
     rng = np.random.default_rng(10 * d + len(task))
-    x = rng.standard_normal(space.dim)
-    new, ref = space.unflatten(x), reference_unflatten(space, x)
-    assert list(new) == list(ref) == space.keys
+    mats = random_hermitian_blocks(space, rng)
+    back = space.unflatten(space.flatten(mats))
+    assert list(back) == space.keys
     for key in space.keys:
-        assert np.array_equal(new[key], ref[key])
-    for mats in (ref, random_hermitian_blocks(space, rng)):
-        assert np.array_equal(space.flatten(mats), reference_flatten(space, mats))
-    assert np.abs(space.psd_project(x) - reference_psd_project(space, x)).max() <= 1e-12
+        assert np.array_equal(back[key], mats[key])
+    # the weighted max-norm is the max-norm of the orthonormal coordinates
+    assert (np.abs(space.weights * space.flatten(mats)).max()
+            == np.abs(reference_flatten(ref, mats)).max())
+    new = space.unflatten(space.psd_project(space.flatten(mats)))
+    old = reference_unflatten(ref, reference_psd_project(ref, reference_flatten(ref, mats)))
+    for key in space.keys:
+        assert np.abs(new[key] - old[key]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("task", ["clone", "learn"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_problem_matches_entry_functional_assembly(d, task):
     problem = build_problem(d, task)
-    c, rows, rhs = reference_assembly(problem.space, d, task)
-    assert np.abs(problem.objective - c).max() <= 1e-15
-    assert problem.constraints.shape == rows.shape
-    for new, ref in zip(problem.constraints, rows):
-        assert min(np.abs(new - ref).max(), np.abs(new + ref).max()) <= 1e-15
+    space = problem.space
+    ref = ReferenceBlockSpace(block_keys(d))
+    c, rows, rhs = reference_assembly(ref, d, task)
+    assert problem.constraints.shape[0] == len(rows)
     assert np.array_equal(problem.rhs, rhs)
+    rng = np.random.default_rng(20 * d + len(task))
+    for _ in range(5):
+        mats = random_hermitian_blocks(space, rng)
+        x, x_ref = space.flatten(mats), reference_flatten(ref, mats)
+        assert abs(problem.objective @ x - c @ x_ref) <= 1e-12
+        # the imaginary-part rows may carry either sign
+        for new, old in zip(problem.constraints @ x, rows @ x_ref):
+            assert min(abs(new - old), abs(new + old)) <= 1e-12
 
 
 @pytest.mark.parametrize("task", ["clone", "learn"])
 def test_solve_on_reference_space_agrees(task, monkeypatch):
-    result = solve(build_problem(2, task), tol=1e-8)
+    results = {d: solve(build_problem(d, task), tol=1e-8) for d in (2, 3, 4)}
     monkeypatch.setattr(optimizer, "_HermitianBlockSpace", ReferenceBlockSpace)
-    problem = build_problem(2, task)
-    assert isinstance(problem.space, ReferenceBlockSpace)
-    ref = solve(problem, tol=1e-8)
-    assert result.iterations == ref.iterations
-    assert abs(result.optimal_value - ref.optimal_value) <= 1e-12
-    for key, block in ref.optimal_blocks.blocks.items():
-        assert np.abs(result.optimal_blocks.blocks[key] - block).max() <= 1e-12
+    for d, result in results.items():
+        problem = build_problem(d, task)
+        assert isinstance(problem.space, ReferenceBlockSpace)
+        ref = solve(problem, tol=1e-8)
+        assert result.iterations == ref.iterations
+        assert abs(result.optimal_value - ref.optimal_value) <= 1e-12
+        for key, block in ref.optimal_blocks.blocks.items():
+            assert np.abs(result.optimal_blocks.blocks[key] - block).max() <= 1e-12
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -316,8 +344,7 @@ def test_solve_on_reference_space_agrees(task, monkeypatch):
 def test_block_coordinates_are_an_isometry(d, data):
     space = optimizer._HermitianBlockSpace(block_keys(d))
     x = data.draw(arrays(np.float64, space.dim, elements=st.floats(-1e3, 1e3)))
-    # x -> x / sqrt(2) -> x rounds: equal to within one ulp, not bitwise
-    assert (np.abs(space.flatten(space.unflatten(x)) - x) <= np.spacing(np.abs(x))).all()
+    assert np.array_equal(space.flatten(space.unflatten(x)), x)
 
     def hermitian_blocks():
         out = {}
