@@ -197,22 +197,44 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
 COMB_FACTORS = ("0B", "0E", "1", "2", "3B", "3E")
 
 
-@dataclass(frozen=True)
 class CombNetwork:
-    """Choi operator of a one-slot network on factors (0B, 0E, 1, 2, 3B, 3E)."""
+    """A one-slot network on the factors (0B, 0E, 1, 2, 3B, 3E).
 
-    choi: np.ndarray
-    d: int
+    Held either as its dense Choi operator ``choi`` or as Kronecker ``terms``
+    ``(a, b)``: two stacks of K operators, ``a[k]`` on (0B, 0E, 1) and ``b[k]``
+    on (2, 3B, 3E), with R = sum_k a[k] (x) b[k].  ``comb_from_pre_post`` makes
+    the term form, with K = m^2 for a memory of dimension m.  The dense
+    operator of a term network is linked on its first read and kept on the
+    instance; gate insertion and the normalization residuals never read it.
+    """
 
-    def __post_init__(self):
-        n = self.d**6
-        if self.choi.shape != (n, n):
-            raise DimensionMismatchError(
-                f"comb Choi shape {self.choi.shape} != ({n}, {n})"
-            )
+    def __init__(self, choi: np.ndarray | None = None, *, d: int,
+                 terms: tuple[np.ndarray, np.ndarray] | None = None):
+        self.d = d
+        n = d**6
+        if (choi is None) == (terms is None):
+            raise ValueError("give a comb as exactly one of choi and terms")
+        if terms is not None:
+            a, b = terms
+            n3 = d**3
+            if a.ndim != 3 or a.shape[1:] != (n3, n3) or b.shape != a.shape:
+                raise DimensionMismatchError(
+                    f"comb term stacks {a.shape}, {b.shape} != (K, {n3}, {n3}) each"
+                )
+        elif choi.shape != (n, n):
+            raise DimensionMismatchError(f"comb Choi shape {choi.shape} != ({n}, {n})")
+        self.terms = terms
+        self._choi = choi
+
+    @property
+    def choi(self) -> np.ndarray:
+        """The dense d^6 x d^6 Choi operator."""
+        if self._choi is None:
+            self._choi = _link_terms(*self.terms, self.d)
+        return self._choi
 
     def normalization_residuals(self) -> tuple[float, float]:
-        return comb_normalization_residuals(self.choi, self.d)
+        return comb_normalization_residuals(self)
 
     def validate(self, check_psd: bool = True) -> None:
         if check_psd:
@@ -226,34 +248,57 @@ class CombNetwork:
             )
 
 
-def comb_normalization_residuals(choi: np.ndarray, d: int) -> tuple[float, float]:
+def comb_normalization_residuals(network: CombNetwork) -> tuple[float, float]:
     """Constructive check of the recursive comb normalization.
 
     Recovers the reduced network ``R0 = Tr_{3B,3E,2}[R]/d`` and returns the
     residuals of the two identities ``Tr_{3B,3E}[R] = R0 (x) I_2`` and
-    ``Tr_1[R0] = I_{0B,0E}``.
+    ``Tr_1[R0] = I_{0B,0E}``.  On terms the traces fall on the factors b[k]
+    alone: ``Tr_{3B,3E}[R] = sum_k a[k] (x) Tr_{3B,3E}[b[k]]`` and
+    ``R0 = sum_k a[k] Tr[b[k]] / d``.
     """
-    choi = as_matrix(choi)
-    dims = [d] * 6
-    reduced = partial_trace(choi, dims, keep=[0, 1, 2, 3])  # on (0B,0E,1,2)
-    r0 = partial_trace(choi, dims, keep=[0, 1, 2]) / d      # on (0B,0E,1)
+    d = network.d
+    if network.terms is None:
+        dims = [d] * 6
+        reduced = partial_trace(network.choi, dims, keep=[0, 1, 2, 3])  # on (0B,0E,1,2)
+        r0 = partial_trace(network.choi, dims, keep=[0, 1, 2]) / d      # on (0B,0E,1)
+    else:
+        a, b = network.terms
+        tb = np.trace(b.reshape(-1, d, d * d, d, d * d), axis1=2, axis2=4)  # [k, 2, 2']
+        n4 = d**4
+        reduced = np.einsum("krc,kij->ricj", a, tb).reshape(n4, n4)
+        r0 = np.tensordot(np.trace(tb, axis1=1, axis2=2), a, axes=1) / d
     res_slot = max_abs(reduced - np.kron(r0, np.eye(d)))
     res_input = max_abs(partial_trace(r0, [d, d, d], keep=[0, 1]) - np.eye(d * d))
     return res_slot, res_input
 
 
+def _link_terms(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """The dense R[r1 r2, c1 c2] = sum_k a[k, r1, c1] b[k, r2, c2].
+
+    Each row slab r1 is one batched product with inner dimension K, written
+    straight into the output, so the comb is the only operator-sized array.
+    """
+    n3 = d**3
+    bt = b.transpose(1, 0, 2)  # [r2, k, c2]
+    out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
+    for r1 in range(n3):
+        np.matmul(a[:, r1].T, bt, out=out[r1])
+    return out.reshape(d**6, d**6)
+
+
 def comb_from_pre_post(pre: Channel, post: Channel, d: int, memory_dim: int,
                        validate: bool = True) -> CombNetwork:
-    """Choi of the one-slot network pre (0B,0E)->(1,M), slot, post (2,M)->(3B,3E).
+    """The one-slot network pre (0B,0E)->(1,M), slot, post (2,M)->(3B,3E).
 
     The two Choi operators are contracted over the memory factor M (a link
     with a transpose on the shared factor), leaving the six comb factors.
 
     With r1, c1 indexing the row and column factors (0B, 0E, 1) and r2, c2
     the factors (2, 3B, 3E), the link is a sum of m^2 products,
-    R[r1 r2, c1 c2] = sum_{MN} pre[(r1, M), (c1, N)] post[(r2, M), (c2, N)].
-    Each row slab r1 is one batched product with inner dimension m^2, written
-    straight into the output, so the comb is the only operator-sized array.
+    R[r1 r2, c1 c2] = sum_{MN} pre[(r1, M), (c1, N)] post[(r2, M), (c2, N)],
+    which the network keeps as its terms a[MN] (x) b[MN]; no operator-sized
+    array is made here.
     """
     m = int(memory_dim)
     if pre.dim_in != d * d or pre.dim_out != d * m:
@@ -268,11 +313,8 @@ def comb_from_pre_post(pre: Channel, post: Channel, d: int, memory_dim: int,
     a8 = pre.choi.reshape(d, m, d, d, d, m, d, d)   # ((1,M),(0B,0E)) row, col
     b8 = post.choi.reshape(d, d, d, m, d, d, d, m)  # ((3B,3E),(2,M)) row, col
     a = a8.transpose(1, 5, 2, 3, 0, 6, 7, 4).reshape(m * m, n3, n3)  # [MN, r1, c1]
-    b = b8.transpose(2, 0, 1, 3, 7, 6, 4, 5).reshape(n3, m * m, n3)  # [r2, MN, c2]
-    out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
-    for r1 in range(n3):
-        np.matmul(a[:, r1].T, b, out=out[r1])
-    comb = CombNetwork(choi=out.reshape(d**6, d**6), d=d)
+    b = b8.transpose(3, 7, 2, 0, 1, 6, 4, 5).reshape(m * m, n3, n3)  # [MN, r2, c2]
+    comb = CombNetwork(d=d, terms=(a, b))
     if validate:
         # linking PSD Chois preserves positivity, so only the normalization
         # needs confirming here; d = 4 would otherwise pay a 4096-dim eigensolve
@@ -288,24 +330,38 @@ def insert_gate(network: CombNetwork, u: np.ndarray) -> Channel:
     unitary acting on the factor returned from the slot.  Returns the
     resulting channel from (0B, 0E) to (3B, 3E).
 
-    The slot operator is rank one, so the contraction splits in two and the
-    d^12-entry network operator is read once.  First the column slot: a
-    vector-matrix product over the column factors (1, 2) in one streaming
-    pass, leaving a d^10-entry intermediate.  Then the row slot: the
-    conjugated vector over the row factors (1, 2) of that intermediate, which
-    also moves the output factors (3B, 3E) ahead of the inputs (0B, 0E).
+    With x = U^dagger on (1, 2) and rows (i, alpha, beta, o), columns
+    (I, A, B, O) of the network on ((0B 0E), 1, 2, (3B 3E)), the output is
+    out[(o, i), (O, I)] = sum conj(x[alpha, beta]) x[A, B] R[(i alpha beta o), (I A B O)].
+
+    On terms, the slot sits on both factors of each product: first the
+    sandwich S_k[i, I, beta, B] = sum_{alpha, A} a_k[(i alpha), (I A)]
+    conj(x[alpha, beta]) x[A, B], then one product over (k, beta, B) with b.
+    On a dense operator the rank-one slot splits in two, so the d^12 entries
+    are read once: a vector-matrix product over the column factors (1, 2)
+    leaves a d^10-entry intermediate, and the conjugated vector over its row
+    factors (1, 2) also moves (3B, 3E) ahead of (0B, 0E).
     """
     u = require_unitary(u)
     d = network.d
     if u.shape != (d, d):
         raise DimensionMismatchError(f"gate shape {u.shape} != ({d}, {d})")
-    # x[c, e] = component of (I_1 (x) U*_2)|I> on (1, 2), flattened
-    x = u.conj().T.reshape(-1)
-    # rows (0B 0E, 1 2, 3B 3E), columns (0B 0E, [1 2], 3B 3E): the column
-    # slot is the middle axis once the row index and columns (0B 0E) merge
-    half = x @ network.choi.reshape(d**8, d**2, d**2)
-    half = half.reshape(d**2, d**2, d**2, d**2, d**2)  # (0B0E, 12, 3B3E)_row, (0B0E, 3B3E)_col
-    out = np.einsum("k,akbce->baec", x.conj(), half)
+    x = u.conj().T  # x[c, e] = component of (I_1 (x) U*_2)|I> on (1, 2)
+    n2 = d * d
+    if network.terms is not None:
+        a, b = network.terms
+        k = len(a)
+        t = a.reshape(-1, d) @ x  # [k, i, alpha, I, B]
+        s = np.matmul(x.conj().T, t.reshape(k * n2, d, n2 * d))  # [k, i, beta, I, B]
+        out = np.tensordot(s.reshape(k, n2, d, n2, d), b.reshape(k, d, n2, d, n2),
+                           axes=([0, 2, 4], [0, 1, 3]))  # [i, I, o, O]
+        out = out.transpose(2, 0, 3, 1)
+    else:
+        # rows (0B 0E, 1 2, 3B 3E), columns (0B 0E, [1 2], 3B 3E): the column
+        # slot is the middle axis once the row index and columns (0B 0E) merge
+        half = x.reshape(-1) @ network.choi.reshape(d**8, n2, n2)
+        half = half.reshape(n2, n2, n2, n2, n2)  # (0B0E, 12, 3B3E)_row, (0B0E, 3B3E)_col
+        out = np.einsum("k,akbce->baec", x.conj().reshape(-1), half)
     return make_channel(
         out.reshape(d**4, d**4),
         dims_in=[d, d], dims_out=[d, d],

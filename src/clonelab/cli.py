@@ -24,6 +24,7 @@ from . import cloner as cn
 from . import optimizer as opt
 from . import protocol as proto
 from .channels import (
+    CombNetwork,
     apply_channel,
     channel_fidelity_with_double_unitary,
     channel_to_json_dict,
@@ -33,7 +34,7 @@ from .channels import (
 from .haar import SeededRng, average_fidelity_mc, haar_unitaries
 from .irreps import (NotCovariantError, block_fidelity, blocks_from_choi, build_irrep_table,
                      verify_covariance)
-from .linalg import max_abs, partial_trace, worst
+from .linalg import ATOL_COVARIANCE, max_abs, partial_trace, worst
 
 SCHEMA_VERSION = "1"
 CORRUPT_ENV = "CLONELAB_CORRUPT_R1"
@@ -70,16 +71,17 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _maybe_corrupt(choi: np.ndarray) -> np.ndarray:
-    """Test hook: perturb one entry of the comb when the env flag is set (a number: see main)."""
+def _maybe_corrupt(network: CombNetwork) -> CombNetwork:
+    """Test hook: when the env flag is set (a number: see main), a dense copy of
+    the network with one entry pair perturbed; otherwise the network itself."""
     flag = os.environ.get(CORRUPT_ENV)
     if not flag:
-        return choi
+        return network
     eps = float(flag)
-    bad = choi.copy()
+    bad = network.choi.copy()
     bad[0, 1] += eps
     bad[1, 0] += eps
-    return bad
+    return CombNetwork(choi=bad, d=network.d)
 
 
 def _run(specs, suffix: str = "") -> list[Check]:
@@ -151,14 +153,14 @@ def _cloner_battery(d: int, n_gates: int, assembly: cn.ClonerAssembly | None,
     if assembly is None:
         return
 
-    net = cn.CombNetwork(choi=_maybe_corrupt(assembly.r1.choi), d=d)
+    net = _maybe_corrupt(assembly.r1)
     normalization = functools.cache(net.normalization_residuals)
     covariance = functools.cache(
         lambda: verify_covariance(net.choi, d, trials=5, rng=rng.substream(2)))
 
     def blocks():
-        if not covariance() <= 1e-9:  # the guard of blocks_from_choi, evaluated once
-            raise NotCovariantError(covariance(), 1e-9)
+        if not covariance() <= ATOL_COVARIANCE:  # the guard of blocks_from_choi, evaluated once
+            raise NotCovariantError(covariance(), ATOL_COVARIANCE)
         table = build_irrep_table(d)
         return abs(block_fidelity(blocks_from_choi(net.choi, table, trials=0), table) - f_ref)
 

@@ -39,12 +39,16 @@ class SeededRng:
         return SeededRng(seed=int.from_bytes(h[:8], "little"), algorithm=self.algorithm)
 
 
-def haar_from_generator(d: int, gen: np.random.Generator) -> np.ndarray:
-    """One Haar-random U(d) matrix drawn from an open numpy generator."""
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2)
+def haar_from_generator(d: int, gen: np.random.Generator,
+                        size: int | None = None) -> np.ndarray:
+    """One Haar-random U(d) matrix drawn from an open numpy generator, or a
+    stack (size, d, d) equal to ``size`` single draws in turn."""
+    g = gen.standard_normal((1 if size is None else size, 2, d, d))  # (re, im) per draw
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
+    u = q * (diag / np.abs(diag))
+    return u[0] if size is None else u
 
 
 def sample_haar_unitary(d: int, rng: SeededRng) -> np.ndarray:

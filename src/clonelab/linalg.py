@@ -29,7 +29,7 @@ ATOL_HERMITIAN_EIG = 1e-8
 ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 # commutator residual with random group elements accepted before the
 # coefficient blocks of an operator are extracted
-ATOL_COVARIANCE = 1e-8
+ATOL_COVARIANCE = 1e-9
 
 GATE_DIM_MIN = 2
 GATE_DIM_MAX = 4

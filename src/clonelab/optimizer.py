@@ -215,6 +215,10 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     """
     if not tol >= 1e-9:  # NaN fails
         raise ValueError(f"tol must be >= 1e-9, got {tol}")
+    for field in ("objective", "constraints", "rhs"):
+        # a non-finite entry would otherwise surface as a failed eigensolve
+        if not np.isfinite(getattr(problem, field)).all():
+            raise ValueError(f"problem {field} has a non-finite entry")
     space = problem.space
     weights = space.weights
     a_mat = problem.constraints

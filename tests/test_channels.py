@@ -214,8 +214,9 @@ def test_comb_from_pre_post_matches_reference_on_random_pairs(m):
         assert np.abs(comb.choi - ref).max() <= 1e-12
 
 
-def test_comb_from_pre_post_peak_memory_is_one_comb():
-    # the 12-index einsum held a second comb-sized array
+def test_comb_from_pre_post_allocates_no_operator_sized_array():
+    # the network keeps its m^2 Kronecker terms; the dense link used to be
+    # written here, one d^12-entry operator
     d = 3
     pre, post = cloner.pre_channel_a(d), cloner.post_channel_b(d)
     tracemalloc.start()
@@ -224,7 +225,22 @@ def test_comb_from_pre_post_peak_memory_is_one_comb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * comb.choi.nbytes
+    assert peak <= 0.1 * 16 * d**12
+    assert sum(t.nbytes for t in comb.terms) <= 0.02 * 16 * d**12
+
+
+def test_comb_choi_build_peak_memory_is_one_comb():
+    # the 12-index einsum held a second comb-sized array
+    d = 3
+    comb = cloner.choi_r1_of_cloner(d)
+    tracemalloc.start()
+    try:
+        choi = comb.choi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * choi.nbytes
+    assert comb.choi is choi  # built once, kept on the network
 
 
 def reference_insert_gate(choi, u, d):
@@ -242,6 +258,46 @@ def test_insert_gate_matches_reference_on_cloner_comb(d):
     for u in haar_unitaries(d, 2 if d == 4 else 5, SeededRng(40 + d)):
         ref = reference_insert_gate(net.choi, u, d)
         assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_insert_gate_matches_reference_on_baseline_combs(d):
+    for build in (cloner.choi_r1_of_decohered_cloner, cloner.first_factor_network):
+        net = build(d)
+        for u in haar_unitaries(d, 2, SeededRng(45 + d)):
+            ref = reference_insert_gate(net.choi, u, d)
+            assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
+
+
+def random_terms(gen, d, m):
+    """m^2 random non-Hermitian term pairs on the two comb triples."""
+    n3 = d**3
+    return tuple(gen.standard_normal((m * m, n3, 2 * n3)).view(complex) for _ in range(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_insert_gate_on_terms_matches_reference_on_random_terms(m):
+    # neither Hermitian nor covariant, so a swapped factor or a missing
+    # conjugate cannot hide behind a symmetry of the terms
+    gen = np.random.default_rng(80 + m)
+    for d in (2, 3, 4):
+        net = CombNetwork(d=d, terms=random_terms(gen, d, m))
+        u = sample_haar_unitary(d, SeededRng(90 + d))
+        ref = reference_insert_gate(net.choi, u, d)
+        assert np.abs(ref - ref.conj().T).max() > 1e-3
+        assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
+
+
+def test_comb_network_takes_one_form_of_the_right_shape():
+    a, b = choi_r1_of_cloner(2).terms
+    with pytest.raises(ValueError):
+        CombNetwork(d=2)
+    with pytest.raises(ValueError):
+        CombNetwork(choi=np.eye(64), d=2, terms=(a, b))
+    with pytest.raises(DimensionMismatchError):
+        CombNetwork(d=2, terms=(a, b[:1]))
+    with pytest.raises(DimensionMismatchError):
+        CombNetwork(d=3, terms=(a, b))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -371,15 +427,33 @@ def test_fidelity_of_first_factor_network_is_random_guess():
 
 def test_comb_normalization_accepts_cloner_rejects_corruption():
     net = choi_r1_of_cloner(2)
-    r1, r2 = comb_normalization_residuals(net.choi, 2)
+    r1, r2 = comb_normalization_residuals(net)
     assert max(r1, r2) < 1e-9
     # perturb an entry that is diagonal in the traced factors (row 0, column
     # differing only in the 0E index) so the partial traces can see it
     bad = net.choi.copy()
     bad[0, 16] += 1e-3
     bad[16, 0] += 1e-3
-    b1, b2 = comb_normalization_residuals(bad, 2)
+    b1, b2 = comb_normalization_residuals(CombNetwork(choi=bad, d=2))
     assert max(b1, b2) > 1e-4
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_normalization_on_terms_matches_dense(d):
+    gen = np.random.default_rng(100 + d)
+    nets = [build(d) for build in (cloner.choi_r1_of_cloner, cloner.choi_r1_of_decohered_cloner,
+                                   cloner.first_factor_network)]
+    # a kicked term set: one term pair off by a small random operator
+    a, b = (t.copy() for t in nets[0].terms)
+    kick_a, kick_b = random_terms(gen, d, 1)
+    a[1] += 1e-3 * kick_a[0]
+    b[2] += 1e-3 * kick_b[0]
+    nets.append(CombNetwork(d=d, terms=(a, b)))
+    for net in nets:
+        on_terms = comb_normalization_residuals(net)
+        dense = comb_normalization_residuals(CombNetwork(choi=net.choi, d=d))
+        assert np.abs(np.subtract(on_terms, dense)).max() <= 1e-12
+    assert max(on_terms) > 1e-4  # the kick is visible
 
 
 def test_insert_fidelity_covariant_under_group_action():

@@ -34,27 +34,28 @@ def test_haar_moments_d2():
     # the estimate within 0.02 at roughly six standard errors
     gen = SeededRng(2).generator()
     n = 100_000
-    acc = 0.0
-    for _ in range(n):
-        u = haar_from_generator(2, gen)
-        t = np.trace(u)
-        acc += (t * t.conjugate()).real
-    assert abs(acc / n - 1.0) < 0.02
+    t = np.trace(haar_from_generator(2, gen, n), axis1=1, axis2=2)
+    assert abs(np.mean(np.abs(t) ** 2) - 1.0) < 0.02
 
 
 def test_haar_entry_moments_d3():
     gen = SeededRng(3).generator()
     n = 100_000
-    mean = np.zeros((3, 3), dtype=complex)
-    abs2 = np.zeros((3, 3))
-    for _ in range(n):
-        u = haar_from_generator(3, gen)
-        mean += u
-        abs2 += np.abs(u) ** 2
-    assert np.abs(mean / n).max() < 0.01
+    us = haar_from_generator(3, gen, n)
+    assert np.abs(us.mean(axis=0)).max() < 0.01
     # E|U_ij|^2 = 1/d within three standard errors
     stderr = np.sqrt((1 / 3) * (2 / 3) / n) * 2  # loose bound on the entry variance
-    assert np.abs(abs2 / n - 1 / 3).max() < 3 * stderr + 2e-3
+    assert np.abs((np.abs(us) ** 2).mean(axis=0) - 1 / 3).max() < 3 * stderr + 2e-3
+
+
+def test_haar_stack_equals_single_draws():
+    # the stack reads the generator's stream in the order of single draws
+    for d in (1, 2, 3, 4):
+        single, stacked = SeededRng(20 + d).generator(), SeededRng(20 + d).generator()
+        ref = np.array([haar_from_generator(d, single) for _ in range(500)])
+        assert np.array_equal(haar_from_generator(d, stacked, 500), ref)
+        # both generators end at the same point of the stream
+        assert single.standard_normal() == stacked.standard_normal()
 
 
 def test_seed_reproducibility():

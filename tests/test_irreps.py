@@ -166,6 +166,17 @@ def test_blocks_from_choi_rejects_non_covariant():
     assert err.value.residual > 1e-4
 
 
+def test_blocks_from_choi_rejects_covariance_residual_between_1e9_and_1e8():
+    # the guard used to accept up to 1e-8, while the CLI's copy of it raised
+    # at 1e-9; both now read ATOL_COVARIANCE = 1e-9
+    bad = choi_r1_of_cloner(2).choi.copy()
+    bad[0, 1] += 4e-9
+    bad[1, 0] += 4e-9
+    with pytest.raises(NotCovariantError) as err:
+        blocks_from_choi(bad, build_irrep_table(2))
+    assert 1e-9 < err.value.residual < 1e-8
+
+
 def test_blocks_from_choi_rejects_nan_operator():
     bad = choi_r1_of_cloner(2).choi.copy()
     bad[0, 1] = np.nan

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +286,18 @@ def test_solve_rejects_nan_tolerance():
     # a NaN tolerance would pass an ordered comparison and never stop
     with pytest.raises(ValueError):
         solve(build_problem(2, "clone"), tol=float("nan"), max_iterations=300)
+
+
+@pytest.mark.parametrize("field", ["objective", "constraints", "rhs"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solve_rejects_non_finite_problem(field, bad):
+    # a NaN objective used to reach eigh and fail there as "Eigenvalues did
+    # not converge", a LinAlgError that names no input
+    problem = build_problem(2, "clone")
+    values = getattr(problem, field).astype(float)
+    values.flat[0] = bad
+    with pytest.raises(ValueError, match=f"problem {field} has a non-finite entry"):
+        solve(dataclasses.replace(problem, **{field: values}), max_iterations=5)
 
 
 @pytest.mark.parametrize("task", ["clone", "learn"])
