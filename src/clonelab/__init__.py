@@ -11,6 +11,7 @@ from .linalg import (
     ATOL_UNITARY,
     DimensionMismatchError,
     NotHermitianError,
+    NotPSDError,
     NotUnitaryError,
     dagger,
     eig_hermitian,
@@ -18,6 +19,7 @@ from .linalg import (
     permute_factors,
     psd_residual,
     require_hermitian,
+    require_psd,
     require_unitary,
     tensor,
 )

@@ -24,17 +24,17 @@ import numpy as np
 from .linalg import (
     ATOL_EQ,
     ATOL_HERMITIAN_EIG,
-    ATOL_PSD,
     ATOL_RANK,
     DimensionMismatchError,
     NotHermitianError,
+    NotPSDError,
     as_matrix,
     as_operator,
     dagger,
     eig_hermitian,
     max_abs,
     partial_trace,
-    psd_residual,
+    require_psd,
     require_unitary,
     worst,
 )
@@ -93,11 +93,9 @@ class Channel:
                 f"Choi shape {self.choi.shape} != ({n}, {n})"
             )
         try:
-            cp = psd_residual(self.choi, ATOL_HERMITIAN_EIG)
-        except NotHermitianError as exc:  # NaN entries fail here, before eigvalsh
+            require_psd(self.choi, ATOL_HERMITIAN_EIG)
+        except (NotHermitianError, NotPSDError) as exc:  # NaN entries fail as not Hermitian
             raise ValueError(f"Choi operator not PSD: {exc}") from exc
-        if not cp <= ATOL_PSD:
-            raise ValueError(f"Choi operator not PSD: residual {cp:.3e}")
         tp = self.tp_residual()
         if not tp <= ATOL_EQ:
             raise ValueError(f"channel not trace preserving: residual {tp:.3e}")
@@ -144,7 +142,12 @@ def choi_from_kraus(
     labels_in: tuple[str, ...] = (),
     labels_out: tuple[str, ...] = (),
 ) -> Channel:
-    """Channel from Kraus operators; checks sum K†K = I within ATOL_EQ."""
+    """Channel from Kraus operators; checks sum K†K = I within ATOL_EQ.
+
+    With the K operators stacked, the completeness sum is one product S†S
+    over the stacked rows S, and the Choi operator is the Gram product
+    V^T V* over the rows vec(K) of V.
+    """
     ks = [as_matrix(k) for k in kraus]
     if not ks:
         raise ValueError("empty Kraus list")
@@ -152,16 +155,14 @@ def choi_from_kraus(
     for k in ks:
         if k.shape != (dout, din):
             raise DimensionMismatchError(f"Kraus shapes differ: {k.shape} vs {(dout, din)}")
-    comp = sum(dagger(k) @ k for k in ks)
-    res = max_abs(comp - np.eye(din))
+    stack = np.stack(ks)
+    rows = stack.reshape(-1, din)
+    res = max_abs(dagger(rows) @ rows - np.eye(din))
     if not res <= ATOL_EQ:  # NaN fails
         raise CompletenessError(res, ATOL_EQ)
-    choi = np.zeros((dout * din, dout * din), dtype=complex)
-    for k in ks:
-        v = vec(k)
-        choi += np.outer(v, v.conj())
+    v = stack.reshape(len(ks), -1)
     return make_channel(
-        choi,
+        v.T @ v.conj(),
         dims_in=dims_in if dims_in is not None else [din],
         dims_out=dims_out if dims_out is not None else [dout],
         labels_in=labels_in,
@@ -238,9 +239,7 @@ class CombNetwork:
 
     def validate(self, check_psd: bool = True) -> None:
         if check_psd:
-            neg = psd_residual(self.choi, ATOL_HERMITIAN_EIG)
-            if not neg <= ATOL_PSD:
-                raise ValueError(f"comb Choi not PSD: min eigenvalue {-neg:.3e}")
+            require_psd(self.choi, ATOL_HERMITIAN_EIG)
         r1, r2 = self.normalization_residuals()
         if not worst((r1, r2)) <= ATOL_EQ:
             raise ValueError(

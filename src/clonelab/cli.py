@@ -32,9 +32,8 @@ from .channels import (
     insert_gate,
 )
 from .haar import SeededRng, average_fidelity_mc, haar_unitaries
-from .irreps import (NotCovariantError, block_fidelity, blocks_from_choi, build_irrep_table,
-                     verify_covariance)
-from .linalg import ATOL_COVARIANCE, max_abs, partial_trace, worst
+from .irreps import block_fidelity, blocks_from_choi, build_irrep_table, verify_covariance
+from .linalg import max_abs, partial_trace, worst
 
 SCHEMA_VERSION = "1"
 CORRUPT_ENV = "CLONELAB_CORRUPT_R1"
@@ -159,10 +158,9 @@ def _cloner_battery(d: int, n_gates: int, assembly: cn.ClonerAssembly | None,
         lambda: verify_covariance(net.choi, d, trials=5, rng=rng.substream(2)))
 
     def blocks():
-        if not covariance() <= ATOL_COVARIANCE:  # the guard of blocks_from_choi, evaluated once
-            raise NotCovariantError(covariance(), ATOL_COVARIANCE)
         table = build_irrep_table(d)
-        return abs(block_fidelity(blocks_from_choi(net.choi, table, trials=0), table) - f_ref)
+        blocks = blocks_from_choi(net.choi, table, covariance=covariance())
+        return abs(block_fidelity(blocks, table) - f_ref)
 
     def mc():
         mean, stderr = average_fidelity_mc(net, mc_samples, rng.substream(6))

@@ -137,21 +137,22 @@ def cloner_channel(u: np.ndarray) -> Channel:
     )
 
 
-def _sandwich_choi(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Choi on ((3B,3E),(0B,0E)) of rho -> sum_ij c_ij P_i (U Tr_0E[P_i rho P_j] U† (x) I) P_j."""
+def _sandwich_choi(u: np.ndarray, coeffs) -> np.ndarray:
+    """Choi on ((3B,3E),(0B,0E)) of rho -> sum_ij c_ij P_i (U Tr_0E[P_i rho P_j] U† (x) I) P_j.
+
+    Writing the partial trace and the appended identity out over the basis of
+    factor E, the map is rho -> sum_ij c_ij sum_mn L_i[m,n] rho L_j[m,n]†
+    with L_i[m,n] = P_i (U (x) |n><m|) P_i.  Stacking the rows vec(L_i[m,n])
+    over (i, m, n) into V (2d^2 x d^4), the Choi operator is one Gram
+    product, V^T (c (x) I_{d^2}) V*.
+    """
     u = as_matrix(u)
     d = u.shape[0]
-    p4 = [p.reshape(d, d, d, d) for p in sym_antisym_projectors(d)]
-    out = np.zeros((d**4, d**4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            if coeffs[i][j] == 0:
-                continue
-            t = np.einsum("abxX,yYcb->acxXyY", p4[i], p4[j], optimize=True)
-            m = np.einsum("Aa,acxXyY,Gc->AGxXyY", u, t, u.conj(), optimize=True)
-            cij = np.einsum("wWAb,AGxXyY,GbtT->wWxXtTyY", p4[i], m, p4[j], optimize=True)
-            out += coeffs[i][j] * cij.reshape(d**4, d**4)
-    return out
+    eye = np.eye(d)
+    lift = np.einsum("ac,bn,em->mnabce", u, eye, eye).reshape(d * d, d * d, d * d)
+    v = np.stack([p @ lift @ p for p in sym_antisym_projectors(d)]).reshape(2, d * d, -1)
+    weighted = np.tensordot(np.asarray(coeffs, dtype=float), v.conj(), axes=1)
+    return v.reshape(2 * d * d, -1).T @ weighted.reshape(2 * d * d, -1)
 
 
 def cloner_channel_closed_form(u: np.ndarray) -> Channel:

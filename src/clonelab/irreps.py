@@ -220,19 +220,23 @@ def block_keys(d: int) -> list[tuple[tuple[str, str], tuple[tuple[str, str], ...
 
 
 def blocks_from_choi(choi: np.ndarray, table: IrrepTable, trials: int = 5,
-                     rng: SeededRng | None = None) -> IrrepBlocks:
+                     rng: SeededRng | None = None,
+                     covariance: float | None = None) -> IrrepBlocks:
     """Extract the coefficient blocks of a covariant operator.
 
     Each entry is Tr[(T^mu_ji (x) T~^nu_lk) R] / (d_mu d_nu), the divisor
     being Tr[T T†] per intertwiner; rejects operators whose covariance
-    residual exceeds ``ATOL_COVARIANCE``.  With R realigned once into
-    K[(p,q),(r,s)] = R[(q,s),(p,r)], so that Tr[(A (x) B) R] =
-    vec(A)^T K vec(B), each block is one product over the stacked
-    intertwiners.
+    residual exceeds ``ATOL_COVARIANCE``.  A caller that has already computed
+    that residual passes it as ``covariance``, and ``verify_covariance`` is
+    not run again (``trials`` and ``rng`` then go unused).
+
+    With R realigned once into K[(p,q),(r,s)] = R[(q,s),(p,r)], so that
+    Tr[(A (x) B) R] = vec(A)^T K vec(B), each block is one product over the
+    stacked intertwiners.
     """
-    choi = as_matrix(choi)
     d = table.d
-    res = verify_covariance(choi, d, trials=trials, rng=rng)
+    choi = as_operator(choi, d**6)
+    res = verify_covariance(choi, d, trials=trials, rng=rng) if covariance is None else covariance
     if not res <= ATOL_COVARIANCE:  # NaN fails
         raise NotCovariantError(res, ATOL_COVARIANCE)
     n3 = d**3

@@ -7,8 +7,9 @@ this package are capped at d = 4, so every operator fits comfortably in dense
 storage (the largest object is 4096 x 4096).
 
 Validation is decided here once: the tolerance constants below, the one
-gate check ``require_unitary`` and the one positivity residual
-``psd_residual``.
+gate check ``require_unitary``, the one positivity gate ``require_psd`` and
+the one positivity residual ``psd_residual``, which the gate evaluates only
+to report a failure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ ATOL_EQ = 1e-9  # an identity: trace preservation, Kraus completeness, comb norm
 ATOL_PSD = 1e-9  # how far below zero the lowest eigenvalue of a PSD operator may sit
 ATOL_UNITARY = 1e-10  # U†U against the identity, for every gate
 ATOL_HERMITIAN = 1e-10  # Hermiticity of an operator given as Hermitian
-# Hermiticity accepted before the eigensolve of an operator the package has
-# computed (a Choi operator summed from products, a difference of states),
-# where rounding may exceed ATOL_HERMITIAN
+# Hermiticity accepted before the positivity gate or the eigensolve of an
+# operator the package has computed (a Choi operator summed from products, a
+# difference of states), where rounding may exceed ATOL_HERMITIAN
 ATOL_HERMITIAN_EIG = 1e-8
 ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 # commutator residual with random group elements accepted before the
@@ -50,6 +51,15 @@ class NotHermitianError(ValueError):
 
     def __init__(self, residual: float, tol: float):
         super().__init__(f"matrix is not Hermitian: residual {residual:.3e} > tol {tol:.3e}")
+        self.residual = residual
+        self.tol = tol
+
+
+class NotPSDError(ValueError):
+    """Operator has an eigenvalue below -tol; carries the residual."""
+
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"matrix is not PSD: residual {residual:.3e} > tol {tol:.3e}")
         self.residual = residual
         self.tol = tol
 
@@ -228,3 +238,24 @@ def psd_residual(m, hermitian_tol: float) -> float:
     """
     w = np.linalg.eigvalsh(require_hermitian(m, hermitian_tol))
     return worst((0.0, -w[0]))
+
+
+def require_psd(m, hermitian_tol: float) -> np.ndarray:
+    """The operator as a complex matrix, certified PSD within ``ATOL_PSD``.
+
+    The one positivity gate of the package.  Raises NotHermitianError past
+    ``hermitian_tol`` (NaN fails there), then factorizes m + ATOL_PSD I by
+    Cholesky, which succeeds exactly when the lowest eigenvalue of m exceeds
+    -ATOL_PSD, so no eigensolve runs on an accepted operator.  Only when the
+    factorization fails is ``psd_residual`` evaluated; NotPSDError carries it.
+    """
+    m = require_hermitian(m, hermitian_tol)
+    shifted = m.copy()  # shift the diagonal in place: m + ATOL_PSD * I would also build an identity
+    shifted[np.diag_indices(len(m))] += ATOL_PSD
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        res = psd_residual(m, hermitian_tol)
+        if not res <= ATOL_PSD:  # the eigensolve decides at the rounding edge
+            raise NotPSDError(res, ATOL_PSD) from None
+    return m

@@ -59,6 +59,35 @@ def random_cptp_kraus(rng, d, n_kraus):
     return [iso[i * d:(i + 1) * d, :] for i in range(n_kraus)]
 
 
+def reference_choi_from_kraus(kraus):
+    """The per-operator loops that ``choi_from_kraus`` replaced, kept as the
+    oracle of its stacked products: (completeness residual, Choi operator)."""
+    comp = sum(dagger(k) @ k for k in kraus)
+    choi = np.zeros((kraus[0].size, kraus[0].size), dtype=complex)
+    for k in kraus:
+        v = vec(k)
+        choi += np.outer(v, v.conj())
+    return float(np.abs(comp - np.eye(kraus[0].shape[1])).max()), choi
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_from_kraus_matches_reference(d):
+    gen = np.random.default_rng(80 + d)
+    u = sample_haar_unitary(d, SeededRng(80 + d))
+    kraus_sets = [cloner.kraus_pre_a(d), cloner.kraus_post_b(d),
+                  [kb @ np.kron(u, np.eye(2)) @ ka
+                   for ka in cloner.kraus_pre_a(d) for kb in cloner.kraus_post_b(d)],
+                  random_cptp_kraus(gen, d, 3)]
+    for kraus in kraus_sets:
+        res, choi = reference_choi_from_kraus(kraus)
+        assert res <= 1e-12
+        assert np.abs(choi_from_kraus(kraus).choi - choi).max() <= 1e-12
+    scaled = [1.5 * k for k in kraus_sets[-1]]
+    with pytest.raises(CompletenessError) as err:
+        choi_from_kraus(scaled)
+    assert abs(err.value.residual - reference_choi_from_kraus(scaled)[0]) <= 1e-12
+
+
 def test_choi_of_identity_is_max_entangled_projector():
     ch = choi_of_unitary(np.eye(2))
     ivec = max_entangled_vec(2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,62 @@ def reference_choi_r1_of_decohered_cloner(d):
 def test_decohered_comb_matches_reference(d):
     ref = reference_choi_r1_of_decohered_cloner(d).choi
     assert max_abs(choi_r1_of_decohered_cloner(d).choi - ref) <= 1e-12
+
+
+def reference_sandwich_choi(u, coeffs):
+    """The per-(i, j) einsum body that ``cloner._sandwich_choi`` replaced,
+    kept as the oracle of its Gram form."""
+    d = u.shape[0]
+    p4 = [p.reshape(d, d, d, d) for p in sym_antisym_projectors(d)]
+    out = np.zeros((d**4, d**4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            if coeffs[i][j] == 0:
+                continue
+            t = np.einsum("abxX,yYcb->acxXyY", p4[i], p4[j], optimize=True)
+            m = np.einsum("Aa,acxXyY,Gc->AGxXyY", u, t, u.conj(), optimize=True)
+            cij = np.einsum("wWAb,AGxXyY,GbtT->wWxXtTyY", p4[i], m, p4[j], optimize=True)
+            out += coeffs[i][j] * cij.reshape(d**4, d**4)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sandwich_gram_form_matches_reference(d):
+    dims = [sector_dims(d)["+"], sector_dims(d)["-"]]
+    cloner_coeffs = [[d / np.sqrt(di * dj) for dj in dims] for di in dims]
+    decohered_coeffs = np.diag([d / di for di in dims])
+    for u in haar_unitaries(d, 4, SeededRng(40 + d)):
+        for build, coeffs in ((cloner_channel_closed_form, cloner_coeffs),
+                              (decohered_cloner_channel, decohered_coeffs)):
+            assert max_abs(build(u).choi - reference_sandwich_choi(u, coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cloner_builds_run_no_eigensolve(d, monkeypatch):
+    # positivity is certified by a Cholesky factorization; an eigensolve runs
+    # only to report a failure
+    u = sample_haar_unitary(d, SeededRng(50 + d))
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve on a valid operator")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    for build in (cloner_channel_closed_form, decohered_cloner_channel, cloner_channel):
+        assert build(u).tp_residual() <= 1e-10
+    assert build_cloner(d).r1.normalization_residuals() is not None
+
+
+def test_closed_form_peak_memory_is_a_few_operators():
+    # the per-(i, j) einsums and the eigensolve of the validation held 4.1
+    # operator sizes at d = 4
+    d = 4
+    u = sample_haar_unitary(d, SeededRng(60))
+    cloner_channel_closed_form(u)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        ch = cloner_channel_closed_form(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * ch.choi.nbytes

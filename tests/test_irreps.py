@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clonelab import irreps
 from clonelab.channels import comb_fidelity_functional, comb_fidelity_functional_batch
 from clonelab.cloner import (choi_r1_of_cloner, choi_r1_of_decohered_cloner, closed_form_fidelity,
                             first_factor_network)
@@ -183,6 +184,27 @@ def test_blocks_from_choi_rejects_nan_operator():
     with pytest.raises(NotCovariantError) as err:
         blocks_from_choi(bad, build_irrep_table(2))
     assert np.isnan(err.value.residual)
+
+
+def test_blocks_from_choi_guards_a_given_covariance_residual(monkeypatch):
+    # a caller that has computed the residual hands it over; the one guard
+    # still decides, and the commutator test does not run a second time
+    table = build_irrep_table(2)
+    choi = choi_r1_of_cloner(2).choi
+    expected = blocks_from_choi(choi, table)
+
+    def no_second_test(*args, **kwargs):
+        raise AssertionError("covariance evaluated twice")
+
+    monkeypatch.setattr(irreps, "verify_covariance", no_second_test)
+    given = blocks_from_choi(choi, table, covariance=1e-16)
+    assert all(max_abs(given.blocks[k] - expected.blocks[k]) == 0.0 for k in expected.blocks)
+    for residual in (2e-9, np.nan):
+        with pytest.raises(NotCovariantError) as err:
+            blocks_from_choi(choi, table, covariance=residual)
+        assert err.value.residual == residual or np.isnan(err.value.residual)
+    with pytest.raises(DimensionMismatchError):
+        blocks_from_choi(np.eye(10), table, covariance=0.0)
 
 
 @pytest.mark.parametrize("check", [

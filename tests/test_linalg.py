@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from clonelab.linalg import (
+    ATOL_PSD,
     DimensionMismatchError,
     NotHermitianError,
+    NotPSDError,
     NotUnitaryError,
     dagger,
     eig_hermitian,
@@ -13,6 +15,7 @@ from clonelab.linalg import (
     psd_residual,
     require_gate_dim,
     require_hermitian,
+    require_psd,
     require_unitary,
     tensor,
     worst,
@@ -156,6 +159,44 @@ def test_psd_residual():
     nan[0, 1] = np.nan  # one triangle only: eigvalsh alone would not see it
     with pytest.raises(NotHermitianError):
         psd_residual(nan, 1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_require_psd_decides_as_psd_residual_at_the_boundary(n):
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(random_matrix(rng, n))
+    for lam_min in (-ATOL_PSD * (1 - 1e-3), -ATOL_PSD * (1 + 1e-3), 0.0, -0.5, 1e-3):
+        w = np.concatenate([[lam_min], rng.uniform(0.0, 1.0, n - 1)])
+        m = (q * w) @ dagger(q)
+        m = (m + dagger(m)) / 2
+        res = psd_residual(m, 1e-10)
+        assert (res <= ATOL_PSD) == (lam_min > -ATOL_PSD)
+        if res <= ATOL_PSD:
+            require_psd(m, 1e-10)
+        else:
+            with pytest.raises(NotPSDError) as err:
+                require_psd(m, 1e-10)
+            assert err.value.residual == res
+
+
+@pytest.mark.parametrize("n,rank", [(16, 1), (16, 5), (256, 3), (256, 200)])
+def test_require_psd_accepts_rank_deficient_gram_operators(n, rank):
+    x = random_matrix(np.random.default_rng(n + rank), n)[:, :rank]
+    m = x @ dagger(x)
+    assert psd_residual(m, 1e-10) <= ATOL_PSD
+    assert require_psd(m, 1e-10) is not None
+
+
+def test_require_psd_rejects_non_hermitian_and_nan_first():
+    with pytest.raises(NotHermitianError):
+        require_psd(np.array([[0, 1], [0, 0]]), 1e-10)
+    nan = np.eye(2, dtype=complex)
+    nan[0, 1] = np.nan  # one triangle only: the factorization alone would not see it
+    with pytest.raises(NotHermitianError):
+        require_psd(nan, 1e-10)
+    with pytest.raises(NotPSDError, match="not PSD") as err:
+        require_psd(SIGMA_3, 1e-10)
+    assert err.value.residual == pytest.approx(1.0)
 
 
 def test_unitary_and_hermitian_checks():
