@@ -228,6 +228,8 @@ def cmd_optimize(args) -> int:
         "gap": gap,
         "iterations": result.iterations,
         "kkt_residual": result.kkt_residual,
+        "trace": [{"iteration": it, "primal": primal, "dual": dual, "rho": rho}
+                  for it, primal, dual, rho in result.trace],
         "passed": ok,
     }
     if args.json:

@@ -159,8 +159,9 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
     A = V (x) V (x) V* on (0B, 0E, 1) and B = W* (x) W (x) W on (2, 3B, 3E),
     and it is never built.  With m indexed [r1, r2, c1, c2] over the two
     triples, the row slab r1 of m g needs only m[r1] (B on c2, then A on
-    c1), and that of g m is A[r1] Z with Z = (I (x) B) m, so the one
-    operator-sized temporary is Z, reused across trials.
+    c1).  g m is built in one buffer Z: Z = (I (x) B) m, then A (x) I
+    applied to Z in place, one column chunk at a time, so each trial reads
+    Z once and the one operator-sized temporary is Z, reused across trials.
     """
     m = as_operator(m, d**6)
     rng = rng or SeededRng(0)
@@ -168,6 +169,7 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
     m4 = m.reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
     z = np.empty((n3, n3, n3 * n3), dtype=complex)  # [r1, r2, (c1 c2)]
     z_rows = z.reshape(n3, -1)
+    chunk = n3 * n3
     residuals = []
     for i in range(trials):
         v = sample_haar_unitary(d, rng.substream(2 * i))
@@ -175,10 +177,11 @@ def verify_covariance(m: np.ndarray, d: int, trials: int = 10,
         a = tensor(v, v, v.conj())
         b = tensor(w.conj(), w, w)
         np.matmul(b, m4.reshape(n3, n3, n3 * n3), out=z)
+        for s in range(0, z_rows.shape[1], chunk):
+            z_rows[:, s:s + chunk] = a @ z_rows[:, s:s + chunk]
         for r1 in range(n3):
             mg = np.matmul(a.T, m4[r1] @ b)  # [r2, c1, c2]
-            gm = (a[r1] @ z_rows).reshape(n3, n3, n3)
-            residuals.append(max_abs(mg - gm))
+            residuals.append(max_abs(mg.reshape(n3, -1) - z[r1]))
     return worst(residuals)
 
 

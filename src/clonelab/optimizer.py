@@ -5,8 +5,10 @@ program: maximize the linear block fidelity over PSD coefficient blocks
 subject to the affine normalization constraints (two scalar budgets for
 cloning, one per irrep row and sector pair for learning).  The solver is an
 alternating projection scheme with a scaled dual (ADMM): one step projects
-onto the affine constraint set, the other onto the PSD cone blockwise, with
-the objective folded into the affine step.
+onto the affine constraint set, x -> P x + q with P = I - A+A and q = A+b
+built once per solve, the other onto the PSD cone, every block at once
+through one zero-padded stack and one batched ``eigh``, with the objective
+folded into the affine step.
 
 Internally the blocks are rescaled as Y^{mu nu} = d_mu d_nu X^{mu nu}, which
 preserves the PSD cone and removes the large coefficient spread from the
@@ -36,11 +38,14 @@ TASKS = ("clone", "learn")
 DEFAULT_TOL = 1e-8
 MAX_ITERATIONS = 100_000
 
+_PAD = np.zeros(1, dtype=complex)  # the entry that the padding of a block stack reads
+
 
 class ConvergenceError(RuntimeError):
-    """Solver hit the iteration cap; carries the best value and residuals."""
+    """Solver hit the iteration cap; carries the best value, residuals and
+    the convergence trace (see ``OptimizationResult``)."""
 
-    def __init__(self, best_value: float, residual: float, iterations: int):
+    def __init__(self, best_value: float, residual: float, iterations: int, trace: tuple):
         super().__init__(
             f"no convergence after {iterations} iterations: "
             f"best value {best_value:.9f}, residual {residual:.3e}"
@@ -48,54 +53,54 @@ class ConvergenceError(RuntimeError):
         self.best_value = best_value
         self.residual = residual
         self.iterations = iterations
+        self.trace = trace
 
 
 class _HermitianBlockSpace:
     """Real coordinates for a direct sum of Hermitian blocks.
 
     The coordinates are the (re, im) floats of the entries of all blocks,
-    which sit in one complex vector: blocks stably sorted by size, each
-    row-major, so the blocks of one size form one stack of matrices.
+    which sit in one complex vector, block after block in key order, each
+    row-major.  ``psd_project`` gathers them into one zero-padded stack of
+    nmax x nmax matrices (an index past the last entry reads 0), makes one
+    batched ``eigh`` and scatters the blocks back: a padded block
+    [[B, 0], [0, 0]] projects to [[P(B), 0], [0, 0]].
     """
 
     def __init__(self, keys):
         self.keys = [k for k, _ in keys]
         self.rows = dict(keys)
         sizes = [len(labels) for _, labels in keys]
-        self._blocks = {}  # key -> (first entry, n)
-        self._stacks = []  # (n, lo, hi): the entries of all n x n blocks
-        hi = 0
-        for n in sorted(set(sizes)):
-            lo = hi
-            for key, m in zip(self.keys, sizes):
-                if m == n:
-                    self._blocks[key] = (hi, n)
-                    hi += n * n
-            self._stacks.append((n, lo, hi))
-        self.dim = 2 * hi
+        starts = np.cumsum([0] + [n * n for n in sizes])
+        self._blocks = {key: (int(s), n) for key, s, n in zip(self.keys, starts, sizes)}
+        n_entries = int(starts[-1])
+        self.dim = 2 * n_entries
+        nmax = max(sizes)
+        gather = np.full((len(sizes), nmax, nmax), n_entries)
+        for g, (s, n) in zip(gather, self._blocks.values()):
+            g[:n, :n] = np.arange(s, s + n * n).reshape(n, n)
+        self._gather = gather
+        # the stack positions that hold an entry, in entry order
+        self._scatter = np.flatnonzero(gather < n_entries)
         # the max-norm over an orthonormal Hermitian basis, per (re, im) float
-        weights = np.full(hi, np.sqrt(2) * (1 + 1j))
+        weights = np.full(n_entries, np.sqrt(2) * (1 + 1j))
         for s, n in self._blocks.values():
             weights[s:s + n * n:n + 1] = 1.0
         self.weights = weights.view(float)
 
     def unflatten(self, x: np.ndarray) -> dict:
         e = x.view(complex)
-        return {key: e[s:s + n * n].reshape(n, n)
-                for key in self.keys for s, n in [self._blocks[key]]}
+        return {key: e[s:s + n * n].reshape(n, n) for key, (s, n) in self._blocks.items()}
 
     def flatten(self, mats: dict) -> np.ndarray:
-        return np.concatenate([mats[key] for key in self._blocks],
+        return np.concatenate([mats[key] for key in self.keys],
                               axis=None, dtype=complex).view(float)
 
     def psd_project(self, x: np.ndarray) -> np.ndarray:
-        e = x.view(complex)
-        out = []
-        for n, lo, hi in self._stacks:
-            w, v = np.linalg.eigh(e[lo:hi].reshape(-1, n, n))
-            np.clip(w, 0, None, out=w)
-            out.append((v * w[:, None, :]) @ v.conj().swapaxes(1, 2))
-        return np.concatenate(out, axis=None).view(float)
+        w, v = np.linalg.eigh(np.concatenate((x.view(complex), _PAD))[self._gather])
+        np.maximum(w, 0, out=w)
+        p = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+        return p.reshape(-1)[self._scatter].view(float)
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,15 @@ class OptimizationProblem:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The solver's optimum.  ``trace`` holds (iteration, primal, dual, rho)
+    at every 50-iteration rho check and at exit, with the rho in force for
+    that iteration's residuals."""
+
     optimal_value: float
     optimal_blocks: IrrepBlocks
     iterations: int
     kkt_residual: float
+    trace: tuple
 
 
 def build_problem(d: int, task: str) -> OptimizationProblem:
@@ -225,38 +235,47 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     b = problem.rhs
     c = problem.objective
     a_pinv = np.linalg.pinv(a_mat, rcond=1e-12)
-
-    def proj_affine(x):
-        return x - a_pinv @ (a_mat @ x - b)
+    # the affine projection y - A+(A y - b) as one product plus a shift
+    proj = np.eye(space.dim) - a_pinv @ a_mat
+    shift = a_pinv @ b
 
     inner = max(tol / 10.0, 1e-13)
     rho = 1.0
+    c_rho = c / rho
     x = problem.initial.copy()
     z = space.psd_project(x)
     u = x - z
     primal = dual = np.inf
+    trace = []
     it = 0
     for it in range(1, max_iterations + 1):
-        x = proj_affine(z - u + c / rho)
+        x = proj @ (z - u + c_rho) + shift
         z_prev = z
         z = space.psd_project(x + u)
-        u += x - z
-        primal = float(np.abs(weights * (x - z)).max())
+        r = x - z
+        u += r
+        primal = float(np.abs(weights * r).max())
         dual = float(rho * np.abs(weights * (z - z_prev)).max())
         if primal < inner and dual < inner:
             break
         if it % 50 == 0:
+            trace.append((it, primal, dual, rho))
             if primal > 10 * dual:
                 rho *= 2.0
                 u /= 2.0
+                c_rho = c / rho
             elif dual > 10 * primal:
                 rho /= 2.0
                 u *= 2.0
+                c_rho = c / rho
+    if not trace or trace[-1][0] != it:
+        trace.append((it, primal, dual, rho))
+    trace = tuple(trace)
     cons = float(np.abs(a_mat @ z - b).max())
     kkt = max(primal, dual, cons)
     value = float(c @ z)
     if not (primal < inner and dual < inner):  # NaN fails
-        raise ConvergenceError(value, kkt, it)
+        raise ConvergenceError(value, kkt, it, trace)
 
     mats = space.unflatten(z)
     blocks = {key: mats[key] / problem.scale[key] for key in space.keys}
@@ -266,6 +285,7 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
         optimal_blocks=optimal,
         iterations=it,
         kkt_residual=kkt,
+        trace=trace,
     )
 
 

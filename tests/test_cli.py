@@ -59,6 +59,16 @@ def test_optimize_learn_json(capsys):
     assert doc["reference"] == pytest.approx(6 / 81)
 
 
+def test_optimize_json_emits_convergence_trace(capsys):
+    code, doc = run_json(capsys, ["optimize", "--d", "2", "--task", "learn", "--json"])
+    assert code == 0
+    trace = doc["trace"]
+    assert [row["iteration"] for row in trace[:-1]] == list(range(50, doc["iterations"], 50))
+    assert trace[-1]["iteration"] == doc["iterations"]
+    assert trace[0]["rho"] == 1.0
+    assert max(trace[-1]["primal"], trace[-1]["dual"]) <= doc["kkt_residual"]
+
+
 def test_baselines_json(capsys):
     code, doc = run_json(capsys, ["baselines", "--d", "3", "--json"])
     assert code == 0

@@ -61,6 +61,29 @@ def reference_verify_covariance(m, d, trials=10, rng=None):
     return float(np.max(residuals))
 
 
+def reference_verify_covariance_by_row_slab(m, d, trials=10, rng=None):
+    """The factored commutator that computed each row slab of g m as
+    A[r1] Z, reading all of Z = (I (x) B) m once per slab, which the in-place
+    A (x) I pass replaced, kept as its oracle."""
+    rng = rng or SeededRng(0)
+    n3 = d**3
+    m4 = m.reshape(n3, n3, n3, n3)
+    z = np.empty((n3, n3, n3 * n3), dtype=complex)
+    z_rows = z.reshape(n3, -1)
+    residuals = []
+    for i in range(trials):
+        v = sample_haar_unitary(d, rng.substream(2 * i))
+        w = sample_haar_unitary(d, rng.substream(2 * i + 1))
+        a = tensor(v, v, v.conj())
+        b = tensor(w.conj(), w, w)
+        np.matmul(b, m4.reshape(n3, n3, n3 * n3), out=z)
+        for r1 in range(n3):
+            mg = np.matmul(a.T, m4[r1] @ b)
+            gm = (a[r1] @ z_rows).reshape(n3, n3, n3)
+            residuals.append(max_abs(mg - gm))
+    return worst(residuals)
+
+
 @pytest.mark.parametrize("d,ranks", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
 def test_sector_projector_ranks(d, ranks):
     p_plus, p_minus = sym_antisym_projectors(d)
@@ -325,15 +348,18 @@ def test_verify_covariance_matches_dense_reference(d):
     kicked = combs[0].copy()
     kicked[0, 1] += 1e-3
     kicked[1, 0] += 1e-3
+    references = (reference_verify_covariance, reference_verify_covariance_by_row_slab)
     for op in combs + [kicked]:
         new = verify_covariance(op, d, trials=3, rng=SeededRng(90 + d))
-        ref = reference_verify_covariance(op, d, trials=3, rng=SeededRng(90 + d))
-        assert abs(new - ref) <= 1e-12
-    assert ref > 1e-4  # the kick is seen, on both paths
+        for reference in references:
+            ref = reference(op, d, trials=3, rng=SeededRng(90 + d))
+            assert abs(new - ref) <= 1e-12
+    assert ref > 1e-4  # the kick is seen, on every path
     poisoned = combs[0].copy()
     poisoned[0, 1] = np.nan
     assert np.isnan(verify_covariance(poisoned, d, trials=2))
-    assert np.isnan(reference_verify_covariance(poisoned, d, trials=2))
+    for reference in references:
+        assert np.isnan(reference(poisoned, d, trials=2))
 
 
 def test_verify_covariance_transient_memory_below_one_and_a_half_operators():

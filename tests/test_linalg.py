@@ -10,6 +10,7 @@ from clonelab.linalg import (
     dagger,
     eig_hermitian,
     hermiticity_residual,
+    max_abs,
     partial_trace,
     permute_factors,
     psd_residual,
@@ -209,6 +210,17 @@ def test_unitary_and_hermitian_checks():
         for check in (require_unitary, require_hermitian):
             with pytest.raises(DimensionMismatchError):
                 check(bad)
+
+
+@pytest.mark.parametrize("n", [16, 64, 65, 256])
+def test_hermiticity_residual_by_row_slab_matches_whole_operator(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for m in (g, g + g.conj().T, g @ g.conj().T):
+        assert hermiticity_residual(m) == max_abs(m - dagger(m))
+    bad = g + g.conj().T
+    bad[n - 1, 3] = np.nan  # in the last slab
+    assert np.isnan(hermiticity_residual(bad))
 
 
 def test_require_gate_dim_bounds():

@@ -149,6 +149,49 @@ def reference_assembly(space, d, task):
     return c, np.array(rows), np.array(rhs)
 
 
+def reference_solve(problem, tol=1e-8):
+    """The solve loop that the padded projection and the fused affine step
+    replaced: x - A+(A x - b) as two products, c / rho every iteration, and
+    one eigh per block.  Returns (value, unscaled blocks, iterations)."""
+    space = problem.space
+    weights = space.weights
+    a_mat, b, c = problem.constraints, problem.rhs, problem.objective
+    a_pinv = np.linalg.pinv(a_mat, rcond=1e-12)
+
+    def proj_psd(x):
+        out = {}
+        for key, m in space.unflatten(x).items():
+            w, v = np.linalg.eigh(m)
+            np.clip(w, 0, None, out=w)
+            out[key] = (v * w) @ v.conj().T
+        return space.flatten(out)
+
+    inner = max(tol / 10.0, 1e-13)
+    rho = 1.0
+    x = problem.initial.copy()
+    z = proj_psd(x)
+    u = x - z
+    for it in range(1, optimizer.MAX_ITERATIONS + 1):
+        y = z - u + c / rho
+        x = y - a_pinv @ (a_mat @ y - b)
+        z_prev = z
+        z = proj_psd(x + u)
+        u += x - z
+        primal = float(np.abs(weights * (x - z)).max())
+        dual = float(rho * np.abs(weights * (z - z_prev)).max())
+        if primal < inner and dual < inner:
+            break
+        if it % 50 == 0:
+            if primal > 10 * dual:
+                rho *= 2.0
+                u /= 2.0
+            elif dual > 10 * primal:
+                rho /= 2.0
+                u *= 2.0
+    blocks = {key: m / problem.scale[key] for key, m in space.unflatten(z).items()}
+    return float(c @ z), blocks, it
+
+
 def random_hermitian_blocks(space, rng):
     out = {}
     for key in space.keys:
@@ -273,6 +316,33 @@ def test_convergence_error_carries_state():
     assert np.isfinite(err.value.best_value)
 
 
+def test_convergence_error_carries_trace():
+    # the cap falls on a rho check: iteration 100 is recorded once
+    with pytest.raises(ConvergenceError) as err:
+        solve(build_problem(3, "clone"), tol=1e-9, max_iterations=100)
+    assert [row[0] for row in err.value.trace] == [50, 100]
+    assert err.value.trace[0][3] == 1.0
+    assert err.value.residual >= max(err.value.trace[-1][1:3])
+
+
+@pytest.mark.parametrize("task", ["clone", "learn"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solve_trace_records_each_rho_check_and_the_exit(d, task):
+    result = solve(build_problem(d, task), tol=1e-8)
+    trace = result.trace
+    assert all(len(row) == 4 for row in trace)
+    assert [row[0] for row in trace[:-1]] == list(range(50, result.iterations, 50))
+    assert trace[-1][0] == result.iterations
+    assert trace[0][3] == 1.0
+    # each check applies the rho schedule to the residuals it records
+    for (_, primal, dual, rho), nxt in zip(trace, trace[1:]):
+        expected = 2 * rho if primal > 10 * dual else rho / 2 if dual > 10 * primal else rho
+        assert nxt[3] == expected
+    _, primal, dual, _ = trace[-1]
+    assert max(primal, dual) < 1e-9  # tol / 10
+    assert result.kkt_residual >= max(primal, dual)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         solve(build_problem(2, "clone"), tol=1e-10)
@@ -351,6 +421,34 @@ def test_solve_on_reference_space_agrees(task, monkeypatch):
         assert abs(result.optimal_value - ref.optimal_value) <= 1e-12
         for key, block in ref.optimal_blocks.blocks.items():
             assert np.abs(result.optimal_blocks.blocks[key] - block).max() <= 1e-12
+
+
+@pytest.mark.parametrize("task", ["clone", "learn"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solve_matches_reference_loop(d, task):
+    problem = build_problem(d, task)
+    result = solve(problem, tol=1e-8)
+    value, blocks, iterations = reference_solve(problem, tol=1e-8)
+    assert result.iterations == iterations
+    assert abs(result.optimal_value - value) <= 1e-12
+    for key, block in blocks.items():
+        assert np.abs(result.optimal_blocks.blocks[key] - block).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solve_makes_one_eigh_per_projection(d, monkeypatch):
+    # the initial projection plus one per iteration, each one batched call
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    result = solve(build_problem(d, "clone"), tol=1e-8)
+    assert len(calls) == result.iterations + 1
+    assert len(set(calls)) == 1
 
 
 @settings(max_examples=50, deadline=None, database=None)
