@@ -399,13 +399,26 @@ def comb_fidelity_functional(choi: np.ndarray, u: np.ndarray, d: int) -> float:
     return float(np.real(w.conj() @ as_operator(choi, d**6) @ w)) / d**4
 
 
-def comb_fidelity_functional_batch(choi: np.ndarray, us: np.ndarray, d: int) -> np.ndarray:
-    """``comb_fidelity_functional`` for each gate of the stack ``us`` (n, d, d).
+def comb_fidelity_functional_batch(comb: np.ndarray | CombNetwork, us: np.ndarray,
+                                   d: int) -> np.ndarray:
+    """``comb_fidelity_functional`` for each gate of the stack ``us`` (n, d, d),
+    on a dense six-factor operator or on a ``CombNetwork``.
 
     Stacks the vectors w_u as the rows of W and takes Re diag(W* R W^T) / d^4,
-    so the operator R is read once for the whole stack.
+    so a dense operator R is read once for the whole stack.  On a network
+    held as terms R = sum_k a[k] (x) b[k], each w_u is the d^3 x d^3 matrix
+    W_u over the two triples and its functional is
+    sum_k Tr[W_u† a[k] W_u b[k]^T], two products per term with no
+    operator-sized array.
     """
     w = _functional_vectors(us, d)
+    if isinstance(comb, CombNetwork) and comb.terms is not None:
+        w = w.reshape(len(w), d**3, d**3)
+        vals = np.zeros(len(w))
+        for a, b in zip(*comb.terms):
+            vals += np.einsum("sij,sij->s", w.conj(), a @ w @ b.T).real
+        return vals / d**4
+    choi = comb.choi if isinstance(comb, CombNetwork) else comb
     return np.real(np.einsum("si,is->s", w.conj(), as_operator(choi, d**6) @ w.T)) / d**4
 
 

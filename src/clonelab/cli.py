@@ -99,6 +99,14 @@ def _run(specs, suffix: str = "") -> list[Check]:
     return checks
 
 
+def _nonfinite_entries(network: CombNetwork) -> int:
+    """Non-finite entries of the comb, counted in its terms when it has them:
+    finite terms link to a finite operator, and a non-finite term entry
+    spreads into the linked one."""
+    parts = (network.choi,) if network.terms is None else network.terms
+    return sum(np.count_nonzero(~np.isfinite(p)) for p in parts)
+
+
 def _cloner_battery(d: int, n_gates: int, assembly: cn.ClonerAssembly | None,
                     mc_samples: int, rng: SeededRng, info: dict):
     """Cloner checks at dimension ``d`` on ``n_gates`` Haar gates: first the gate
@@ -169,7 +177,7 @@ def _cloner_battery(d: int, n_gates: int, assembly: cn.ClonerAssembly | None,
 
     # first: a non-finite entry off the diagonal of factor 3E (where the corruption
     # hook writes) is invisible to the normalization checks
-    yield "comb_finite", 0.0, lambda: np.count_nonzero(~np.isfinite(net.choi))
+    yield "comb_finite", 0.0, lambda: _nonfinite_entries(net)
     yield "comb_normalization_slot", 1e-9, lambda: normalization()[0]
     yield "comb_normalization_input", 1e-9, lambda: normalization()[1]
     yield "insert_gate_vs_closed_form_choi", 1e-9, lambda: worst(
@@ -228,8 +236,10 @@ def cmd_optimize(args) -> int:
         "gap": gap,
         "iterations": result.iterations,
         "kkt_residual": result.kkt_residual,
-        "trace": [{"iteration": it, "primal": primal, "dual": dual, "rho": rho}
-                  for it, primal, dual, rho in result.trace],
+        "dual_bound": result.dual_bound,
+        "certified_gap": result.certified_gap,
+        "trace": [{"iteration": it, "primal": primal, "dual": dual, "gap": rel_gap}
+                  for it, primal, dual, rel_gap in result.trace],
         "passed": ok,
     }
     if args.json:
@@ -242,6 +252,8 @@ def cmd_optimize(args) -> int:
             f"gap            {gap:.3e}\n"
             f"iterations     {result.iterations}\n"
             f"kkt residual   {result.kkt_residual:.3e}\n"
+            f"dual bound     {result.dual_bound:.9f}\n"
+            f"certified gap  {result.certified_gap:.3e}\n"
             + ("PASS" if ok else "FAIL"),
             args.output,
         )

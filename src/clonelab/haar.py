@@ -71,7 +71,8 @@ def average_fidelity_mc(network: CombNetwork, samples: int,
     Returns (mean, standard error); the standard error is the sample standard
     deviation over sqrt(n), zero for a single sample.  Sample i is drawn from
     ``rng.substream(i)``, and the integrands are evaluated for up to
-    ``MC_BLOCK`` samples per read of the comb.
+    ``MC_BLOCK`` samples per read of the comb: of its terms when the network
+    has them, so the dense operator is never linked.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -80,7 +81,7 @@ def average_fidelity_mc(network: CombNetwork, samples: int,
     for start in range(0, samples, MC_BLOCK):
         stop = min(start + MC_BLOCK, samples)
         us = np.array([sample_haar_unitary(d, rng.substream(i)) for i in range(start, stop)])
-        vals[start:stop] = comb_fidelity_functional_batch(network.choi, us, d)
+        vals[start:stop] = comb_fidelity_functional_batch(network, us, d)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

@@ -25,7 +25,7 @@ from clonelab.channels import (
 )
 from clonelab import cloner
 from clonelab.cloner import choi_r1_of_cloner, cloner_channel, first_factor_network
-from clonelab.haar import SeededRng, haar_unitaries, sample_haar_unitary
+from clonelab.haar import SeededRng, haar_from_generator, haar_unitaries, sample_haar_unitary
 from clonelab.irreps import covariance_group_element
 from clonelab.linalg import (
     ATOL_HERMITIAN_EIG,
@@ -317,6 +317,32 @@ def test_insert_gate_on_terms_matches_reference_on_random_terms(m):
         assert np.abs(insert_gate(net, u).choi - ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_functional_batch_on_terms_matches_dense_on_random_terms(m):
+    # non-Hermitian terms: a transposed b[k] or a missing conjugate would
+    # change the value; scaled so that the functional is of order one
+    gen = np.random.default_rng(120 + m)
+    for d in (2, 3):
+        a, b = random_terms(gen, d, m)
+        net = CombNetwork(d=d, terms=(a / d**3, b / d**3))
+        us = haar_from_generator(d, gen, 5)
+        on_terms = comb_fidelity_functional_batch(net, us, d)
+        assert net._choi is None  # the dense operator was never linked
+        dense = comb_fidelity_functional_batch(net.choi, us, d)
+        assert np.abs(on_terms - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_functional_batch_on_terms_matches_dense_on_builder_combs(d):
+    us = haar_from_generator(d, np.random.default_rng(130 + d), 10)
+    for build in (choi_r1_of_cloner, cloner.choi_r1_of_decohered_cloner,
+                  cloner.first_factor_network):
+        net = build(d)
+        on_terms = comb_fidelity_functional_batch(net, us, d)
+        dense = comb_fidelity_functional_batch(net.choi, us, d)
+        assert np.abs(on_terms - dense).max() <= 1e-12
+
+
 def test_comb_network_takes_one_form_of_the_right_shape():
     a, b = choi_r1_of_cloner(2).terms
     with pytest.raises(ValueError):
@@ -404,6 +430,8 @@ GATE_ENTRY_POINTS = {
     "comb_fidelity_functional": lambda u: comb_fidelity_functional(choi_r1_of_cloner(2).choi, u, 2),
     "comb_fidelity_functional_batch":
         lambda u: comb_fidelity_functional_batch(choi_r1_of_cloner(2).choi, u[None], 2),
+    "comb_fidelity_functional_batch_on_terms":
+        lambda u: comb_fidelity_functional_batch(choi_r1_of_cloner(2), u[None], 2),
     "cloner_channel": cloner_channel,
     "cloner_channel_closed_form": cloner.cloner_channel_closed_form,
     "decohered_cloner_channel": cloner.decohered_cloner_channel,

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from clonelab import cloner
+import numpy as np
+
+from clonelab import channels, cli, cloner
 from clonelab.cli import main
 
 
@@ -63,10 +65,19 @@ def test_optimize_json_emits_convergence_trace(capsys):
     code, doc = run_json(capsys, ["optimize", "--d", "2", "--task", "learn", "--json"])
     assert code == 0
     trace = doc["trace"]
-    assert [row["iteration"] for row in trace[:-1]] == list(range(50, doc["iterations"], 50))
-    assert trace[-1]["iteration"] == doc["iterations"]
-    assert trace[0]["rho"] == 1.0
-    assert max(trace[-1]["primal"], trace[-1]["dual"]) <= doc["kkt_residual"]
+    assert [row["iteration"] for row in trace] == list(range(1, doc["iterations"] + 1))
+    assert set(trace[0]) == {"iteration", "primal", "dual", "gap"}
+    assert max(trace[-1]["primal"], trace[-1]["dual"], trace[-1]["gap"]) == doc["kkt_residual"]
+    assert doc["optimal_value"] <= doc["reference"] <= doc["dual_bound"]
+    assert 0 <= doc["certified_gap"] <= 1e-7  # the default --tol
+
+
+def test_optimize_text_prints_certificate(capsys):
+    code = main(["optimize", "--d", "3", "--task", "clone"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert any(line.startswith("dual bound     0.2158676") for line in lines)
+    assert any(line.startswith("certified gap  ") for line in lines)
 
 
 def test_baselines_json(capsys):
@@ -232,3 +243,30 @@ def test_output_file_written_with_lf(tmp_path, capsys):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode("utf-8").startswith("d,f_clon")
+
+
+def reference_nonfinite_entries(network):
+    """The dense count that the term count of ``comb_finite`` replaced."""
+    return np.count_nonzero(~np.isfinite(network.choi))
+
+
+def test_nonfinite_entries_on_terms_match_dense():
+    net = cloner.choi_r1_of_cloner(2)
+    assert cli._nonfinite_entries(net) == 0
+    assert net._choi is None  # the count read the terms alone
+    assert reference_nonfinite_entries(net) == 0
+    a, b = (t.copy() for t in net.terms)
+    a[0, 0, 1] = np.nan
+    bad = channels.CombNetwork(d=2, terms=(a, b))
+    assert cli._nonfinite_entries(bad) == 1
+    assert reference_nonfinite_entries(bad) > 0
+
+
+def test_verify_cloner_d4_never_links_the_dense_comb(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense comb linked")
+
+    monkeypatch.setattr(channels, "_link_terms", refuse)
+    code, doc = run_json(capsys, ["verify-cloner", "--d", "4", "--samples", "20", "--json"])
+    assert code == 0
+    assert {c["name"] for c in doc["checks"]} >= {"comb_finite", "mc_average_fidelity"}
