@@ -48,11 +48,13 @@ from .irreps import (
     block_fidelity,
     blocks_from_choi,
     build_irrep_table,
-    choi_from_blocks,
     irrep_dims,
+    require_covariant,
     sector_dims,
     swap_operator,
     sym_antisym_projectors,
+    terms_from_blocks,
+    twirl,
     verify_covariance,
 )
 from .cloner import (

@@ -272,17 +272,32 @@ def comb_normalization_residuals(network: CombNetwork) -> tuple[float, float]:
     return res_slot, res_input
 
 
-def _link_terms(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """The dense R[r1 r2, c1 c2] = sum_k a[k, r1, c1] b[k, r2, c2].
+def term_row_slabs(a: np.ndarray, b: np.ndarray, d: int, out: np.ndarray | None = None):
+    """Yield (r1, R[r1]) for each row slab of R = sum_k a[k] (x) b[k], as [r2, c1, c2].
 
-    Each row slab r1 is one batched product with inner dimension K, written
-    straight into the output, so the comb is the only operator-sized array.
+    Each slab is one batched product with inner dimension K.  It is written
+    into ``out[r1]`` when ``out`` is the [r1, r2, c1, c2] operator, else into
+    one slab buffer that the next slab overwrites.
     """
     n3 = d**3
     bt = b.transpose(1, 0, 2)  # [r2, k, c2]
-    out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
+    buf = np.empty((n3, n3, n3), dtype=complex) if out is None else None
     for r1 in range(n3):
-        np.matmul(a[:, r1].T, bt, out=out[r1])
+        slab = buf if out is None else out[r1]
+        np.matmul(a[:, r1].T, bt, out=slab)
+        yield r1, slab
+
+
+def _link_terms(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """The dense R[r1 r2, c1 c2] = sum_k a[k, r1, c1] b[k, r2, c2].
+
+    The row slabs are written straight into the output, so the comb is the
+    only operator-sized array.
+    """
+    n3 = d**3
+    out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
+    for _ in term_row_slabs(a, b, d, out):
+        pass
     return out.reshape(d**6, d**6)
 
 

@@ -11,9 +11,15 @@ fundamental splits further:
 
 An operator commuting with the product action on six factors
 ``(0B,0E,1) (x) (2,3B,3E)`` is a sum of intertwiner pairs
-``T^mu_ij (x) T~^nu_kl`` with scalar coefficients ``r^{mu nu}_{ik,jl}``;
-this module builds the intertwiners, converts between the full operator and
-its coefficient blocks, and checks covariance numerically.
+``T^mu_ij (x) T~^nu_kl`` with scalar coefficients ``r^{mu nu}_{ik,jl}``.
+These products are an orthogonal basis of the covariant operators.  This
+module builds the intertwiners and projects any six-factor operator onto
+that basis (``twirl``): the projection gives the coefficient blocks, and its
+distance to the operator is an exact covariance residual, which
+``require_covariant`` guards.  ``terms_from_blocks`` rebuilds the covariant
+operator from its blocks as Kronecker terms.  ``verify_covariance``, the
+older test by commutators with random group elements, stays as an
+independent oracle.
 
 The triple (0B,0E,1) carries the action with the conjugated factor last; the
 triple (2,3B,3E) carries it with the conjugated factor first, so the second
@@ -27,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import max_entangled_vec
+from .channels import CombNetwork, max_entangled_vec, term_row_slabs
 from .haar import SeededRng, sample_haar_unitary
 from .linalg import (ATOL_COVARIANCE, as_matrix, as_operator, max_abs, require_gate_dim, tensor,
                      worst)
@@ -222,58 +228,106 @@ def block_keys(d: int) -> list[tuple[tuple[str, str], tuple[tuple[str, str], ...
     return out
 
 
-def blocks_from_choi(choi: np.ndarray, table: IrrepTable, trials: int = 5,
-                     rng: SeededRng | None = None,
-                     covariance: float | None = None) -> IrrepBlocks:
-    """Extract the coefficient blocks of a covariant operator.
+def _coefficient_index(table: IrrepTable) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """For each block (mu, nu), the index arrays (x, y) with
+    ``blocks[(mu, nu)] == coeffs[x, y]``.
 
-    Each entry is Tr[(T^mu_ji (x) T~^nu_lk) R] / (d_mu d_nu), the divisor
-    being Tr[T T†] per intertwiner; rejects operators whose covariance
-    residual exceeds ``ATOL_COVARIANCE``.  A caller that has already computed
-    that residual passes it as ``covariance``, and ``verify_covariance`` is
-    not run again (``trials`` and ``rng`` then go unused).
+    ``coeffs[x, y]`` is the coefficient of T_x (x) T~_y, with x and y running
+    over the intertwiner keys (mu, i, j) of the table, so the block entry
+    r^{mu nu}_{ik,jl} sits at x = (mu, i, j), y = (nu, k, l).
+    """
+    pos = {key: n for n, key in enumerate(table.intertwiners)}
+    index = {}
+    for (mu, nu), labels in block_keys(table.d):
+        x = [[pos[(mu, i, j)] for j, _ in labels] for i, _ in labels]
+        y = [[pos[(nu, k, l)] for _, l in labels] for _, k in labels]
+        index[(mu, nu)] = (np.array(x), np.array(y))
+    return index
 
-    With R realigned once into K[(p,q),(r,s)] = R[(q,s),(p,r)], so that
-    Tr[(A (x) B) R] = vec(A)^T K vec(B), each block is one product over the
-    stacked intertwiners.
+
+def _stacks(table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
+    """The intertwiners of the two triples as (X, d^3, d^3) stacks, in key order."""
+    return (np.array(list(table.intertwiners.values()), dtype=complex),
+            np.array([table.intertwiners_conj_first[key] for key in table.intertwiners],
+                     dtype=complex))
+
+
+def terms_from_blocks(blocks: IrrepBlocks, table: IrrepTable) -> tuple[np.ndarray, np.ndarray]:
+    """The covariant operator sum r T^mu_ij (x) T~^nu_kl as Kronecker terms.
+
+    One term per first-triple intertwiner T_x (5 at d = 2, 6 at d >= 3):
+    a[x] = T_x and b[x] = sum_y coeffs[x, y] T~_y.  ``CombNetwork(d=d,
+    terms=terms_from_blocks(blocks, table))`` holds the operator.
+    """
+    first, second = _stacks(table)
+    coeffs = np.zeros((len(first), len(first)), dtype=complex)
+    for key, (x, y) in _coefficient_index(table).items():
+        coeffs[x, y] = blocks.blocks[key]
+    return first, np.tensordot(coeffs, second, axes=1)
+
+
+def twirl(comb: np.ndarray | CombNetwork, table: IrrepTable) -> tuple[IrrepBlocks, float]:
+    """Project a six-factor operator R onto the covariant operators.
+
+    The products T_x (x) T~_y are an orthogonal basis of the covariant
+    operators, each of squared norm d_x d_y, so the coefficients
+    Tr[(T_x (x) T~_y)^dagger R] / (d_x d_y) are the blocks of the orthogonal
+    projection Pi(R).  Returns them with max|R - Pi(R)|, the distance of R to
+    the covariant operators: rounding-level exactly when R is covariant, NaN
+    when R has a NaN entry.
+
+    R is a dense operator or a ``CombNetwork``.  A dense R is realigned once
+    into M[(r1 c1), (r2 c2)] = R[(r1 r2), (c1 c2)], and the coefficients are
+    one product over the stacked intertwiners.  On terms R = sum_k a_k (x) b_k
+    they are sum_k Tr[T_x^dagger a_k] Tr[T~_y^dagger b_k], and the dense
+    operator is never linked.  The residual is taken one row slab of
+    R - Pi(R) at a time, with Pi(R) as ``terms_from_blocks``.
     """
     d = table.d
-    choi = as_operator(choi, d**6)
-    res = verify_covariance(choi, d, trials=trials, rng=rng) if covariance is None else covariance
-    if not res <= ATOL_COVARIANCE:  # NaN fails
-        raise NotCovariantError(res, ATOL_COVARIANCE)
     n3 = d**3
-    realigned = choi.reshape(n3, n3, n3, n3).transpose(2, 0, 3, 1).reshape(n3 * n3, n3 * n3)
-    dims = irrep_dims(d)
-    left = {}  # mu -> rows vec(T^mu_ji) K over the sector pairs (i, j)
-    blocks = {}
-    for (mu, nu), labels in block_keys(d):
-        sm, sn = valid_sectors(mu, d), valid_sectors(nu, d)
-        if mu not in left:
-            left[mu] = np.array([table.intertwiners[(mu, j, i)].ravel()
-                                 for i in sm for j in sm]) @ realigned
-        right = np.array([table.intertwiners_conj_first[(nu, l, k)].ravel()
-                          for k in sn for l in sn])
-        g = (left[mu] @ right.T).reshape(len(sm), len(sm), len(sn), len(sn))  # [i, j, k, l]
-        n = len(labels)
-        blocks[(mu, nu)] = g.transpose(0, 2, 1, 3).reshape(n, n) / (dims[mu] * dims[nu])
-    return IrrepBlocks(d=d, blocks=blocks)
+    first, second = _stacks(table)
+    tx, ty = first.conj().reshape(len(first), -1), second.conj().reshape(len(second), -1)
+    terms = comb.terms if isinstance(comb, CombNetwork) else None
+    if terms is None:
+        choi = as_operator(comb.choi if isinstance(comb, CombNetwork) else comb, d**6)
+        r4 = choi.reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
+        realigned = r4.transpose(0, 2, 1, 3).reshape(n3 * n3, n3 * n3)
+        coeffs = tx @ realigned @ ty.T
+    else:
+        a, b = terms
+        coeffs = (tx @ a.reshape(len(a), -1).T) @ (ty @ b.reshape(len(b), -1).T).T
+    norms = np.array([irrep_dims(d)[mu] for mu, _, _ in table.intertwiners], dtype=float)
+    coeffs /= np.outer(norms, norms)
+    blocks = IrrepBlocks(d=d, blocks={key: coeffs[x, y]
+                                      for key, (x, y) in _coefficient_index(table).items()})
+    pa, pb = terms_from_blocks(blocks, table)
+    if terms is None:
+        residual = worst(max_abs(r4[r1] - slab) for r1, slab in term_row_slabs(pa, pb, d))
+    else:
+        residual = worst(max_abs(slab) for _, slab in term_row_slabs(
+            np.concatenate([a, pa]), np.concatenate([b, -pb]), d))
+    return blocks, residual
 
 
-def choi_from_blocks(blocks: IrrepBlocks, table: IrrepTable) -> np.ndarray:
-    """Reassemble the six-factor operator sum r T^mu_ij (x) T~^nu_kl."""
-    d = table.d
-    out = np.zeros((d**6, d**6), dtype=complex)
-    for (mu, nu), labels in blocks.rows.items():
-        b = blocks.blocks[(mu, nu)]
-        for a, (i, k) in enumerate(labels):
-            for c, (j, l) in enumerate(labels):
-                val = b[a, c]
-                if val == 0:
-                    continue
-                out += val * np.kron(table.intertwiners[(mu, i, j)],
-                                     table.intertwiners_conj_first[(nu, k, l)])
-    return out
+def require_covariant(residual: float) -> None:
+    """The one covariance guard: NotCovariantError unless the twirl residual
+    is within ``ATOL_COVARIANCE`` (NaN fails)."""
+    if not residual <= ATOL_COVARIANCE:
+        raise NotCovariantError(residual, ATOL_COVARIANCE)
+
+
+def blocks_from_choi(comb: np.ndarray | CombNetwork, table: IrrepTable,
+                     rng: SeededRng | None = None) -> IrrepBlocks:
+    """The coefficient blocks of a covariant operator: ``twirl`` followed by
+    ``require_covariant``.
+
+    Each entry is Tr[(T^mu_ji (x) T~^nu_lk) R] / (d_mu d_nu).  ``rng`` is
+    unused; it is kept only because the benchmark's ``sdp_rederive``
+    workload (``bench/workloads.py``) passes it.
+    """
+    blocks, residual = twirl(comb, table)
+    require_covariant(residual)
+    return blocks
 
 
 def block_fidelity(blocks: IrrepBlocks, table: IrrepTable) -> float:

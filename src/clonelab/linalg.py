@@ -28,8 +28,8 @@ ATOL_HERMITIAN = 1e-10  # Hermiticity of an operator given as Hermitian
 # difference of states), where rounding may exceed ATOL_HERMITIAN
 ATOL_HERMITIAN_EIG = 1e-8
 ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
-# commutator residual with random group elements accepted before the
-# coefficient blocks of an operator are extracted
+# twirl residual max|R - Pi(R)|, the max-abs distance of an operator to the
+# covariant operators, accepted before its coefficient blocks are used
 ATOL_COVARIANCE = 1e-9
 
 GATE_DIM_MIN = 2

@@ -262,11 +262,36 @@ def test_nonfinite_entries_on_terms_match_dense():
     assert reference_nonfinite_entries(bad) > 0
 
 
-def test_verify_cloner_d4_never_links_the_dense_comb(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("dense comb linked")
+def test_corruption_hook_adds_one_term_pair_kick(monkeypatch):
+    # the term hook equals the dense kick R[0, 1] += eps, R[1, 0] += eps
+    net = cloner.choi_r1_of_cloner(2)
+    monkeypatch.setenv("CLONELAB_CORRUPT_R1", "1e-3")
+    bad = cli._maybe_corrupt(net)
+    assert len(bad.terms[0]) == len(net.terms[0]) + 1
+    expected = net.choi.copy()
+    expected[0, 1] += 1e-3
+    expected[1, 0] += 1e-3
+    assert np.abs(bad.choi - expected).max() <= 1e-15
+    monkeypatch.setenv("CLONELAB_CORRUPT_R1", "nan")
+    assert cli._nonfinite_entries(cli._maybe_corrupt(net)) == 2
 
-    monkeypatch.setattr(channels, "_link_terms", refuse)
-    code, doc = run_json(capsys, ["verify-cloner", "--d", "4", "--samples", "20", "--json"])
-    assert code == 0
-    assert {c["name"] for c in doc["checks"]} >= {"comb_finite", "mc_average_fidelity"}
+
+def test_verify_cloner_d4_never_links_the_dense_comb(capsys, monkeypatch):
+    # clean and under both corruptions: the term hook keeps the comb in terms,
+    # so neither the checks nor the dense twirl link the 256 MiB operator
+    linked = []
+    monkeypatch.setattr(channels, "_link_terms", lambda *args: linked.append(args))
+    for corrupt in (None, "1e-3", "nan"):
+        if corrupt is not None:
+            monkeypatch.setenv("CLONELAB_CORRUPT_R1", corrupt)
+        code, doc = run_json(capsys, ["verify-cloner", "--d", "4", "--samples", "20", "--json"])
+        assert linked == []
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert set(by_name) >= {"comb_finite", "comb_covariance", "mc_average_fidelity"}
+        if corrupt is None:
+            assert code == 0
+            assert by_name["block_fidelity"]["passed"]
+        else:
+            assert code == 1
+            assert not by_name["comb_covariance"]["passed"]
+            assert not by_name["block_fidelity (NotCovariantError)"]["passed"]

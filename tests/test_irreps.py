@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from clonelab import irreps
-from clonelab.channels import comb_fidelity_functional, comb_fidelity_functional_batch
+from clonelab.channels import CombNetwork, comb_fidelity_functional, comb_fidelity_functional_batch
 from clonelab.cloner import (choi_r1_of_cloner, choi_r1_of_decohered_cloner, closed_form_fidelity,
                             first_factor_network)
 from clonelab.haar import SeededRng, sample_haar_unitary
@@ -16,15 +17,18 @@ from clonelab.irreps import (
     block_keys,
     blocks_from_choi,
     build_irrep_table,
-    choi_from_blocks,
     covariance_group_element,
     irrep_dims,
+    require_covariant,
     sector_dims,
     sym_antisym_projectors,
+    terms_from_blocks,
+    twirl,
     valid_sectors,
     verify_covariance,
 )
-from clonelab.linalg import DimensionMismatchError, dagger, max_abs, psd_residual, tensor, worst
+from clonelab.linalg import (ATOL_COVARIANCE, DimensionMismatchError, dagger, max_abs, psd_residual,
+                             tensor, worst)
 
 
 def reference_blocks_from_choi(choi, table):
@@ -46,6 +50,28 @@ def reference_blocks_from_choi(choi, table):
                 b[a, c] = val / norm
         blocks[(mu, nu)] = b
     return blocks
+
+
+def reference_choi_from_blocks(blocks, table):
+    """The dense sum r T^mu_ij (x) T~^nu_kl, one Kronecker product per block
+    entry: the reassembly that ``terms_from_blocks`` replaced."""
+    d = table.d
+    out = np.zeros((d**6, d**6), dtype=complex)
+    for (mu, nu), labels in blocks.rows.items():
+        b = blocks.blocks[(mu, nu)]
+        for a, (i, k) in enumerate(labels):
+            for c, (j, l) in enumerate(labels):
+                out += b[a, c] * np.kron(table.intertwiners[(mu, i, j)],
+                                         table.intertwiners_conj_first[(nu, k, l)])
+    return out
+
+
+def reference_twirl_residual(choi, table):
+    """max|R - Pi(R)| with Pi(R) from the per-entry blocks and the dense
+    reassembly: neither the realigned product nor the row slabs of ``twirl``."""
+    d = table.d
+    blocks = IrrepBlocks(d=d, blocks=reference_blocks_from_choi(choi, table))
+    return max_abs(choi - reference_choi_from_blocks(blocks, table))
 
 
 def reference_verify_covariance(m, d, trials=10, rng=None):
@@ -139,15 +165,21 @@ def test_intertwiner_composition_and_adjoint(d):
         ]
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_intertwiners_commute_with_triple_action(d):
+    # the premise of the twirl: every product T (x) T~ is itself covariant, so
+    # a table that missed part of the commutant could only make a covariant
+    # operator fail, never pass a non-covariant one
     table = build_irrep_table(d)
     rng = SeededRng(20)
     for trial in range(3):
         v = sample_haar_unitary(d, rng.substream(trial))
         g3 = tensor(v, v, v.conj())
-        for t in table.intertwiners.values():
+        g3_conj_first = tensor(v.conj(), v, v)
+        for key, t in table.intertwiners.items():
             assert max_abs(g3 @ t - t @ g3) < 1e-12
+            t_conj_first = table.intertwiners_conj_first[key]
+            assert max_abs(g3_conj_first @ t_conj_first - t_conj_first @ g3_conj_first) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -209,34 +241,14 @@ def test_blocks_from_choi_rejects_nan_operator():
     assert np.isnan(err.value.residual)
 
 
-def test_blocks_from_choi_guards_a_given_covariance_residual(monkeypatch):
-    # a caller that has computed the residual hands it over; the one guard
-    # still decides, and the commutator test does not run a second time
-    table = build_irrep_table(2)
-    choi = choi_r1_of_cloner(2).choi
-    expected = blocks_from_choi(choi, table)
-
-    def no_second_test(*args, **kwargs):
-        raise AssertionError("covariance evaluated twice")
-
-    monkeypatch.setattr(irreps, "verify_covariance", no_second_test)
-    given = blocks_from_choi(choi, table, covariance=1e-16)
-    assert all(max_abs(given.blocks[k] - expected.blocks[k]) == 0.0 for k in expected.blocks)
-    for residual in (2e-9, np.nan):
-        with pytest.raises(NotCovariantError) as err:
-            blocks_from_choi(choi, table, covariance=residual)
-        assert err.value.residual == residual or np.isnan(err.value.residual)
-    with pytest.raises(DimensionMismatchError):
-        blocks_from_choi(np.eye(10), table, covariance=0.0)
-
-
 @pytest.mark.parametrize("check", [
     lambda op: comb_fidelity_functional(op, np.eye(2), 2),
     lambda op: comb_fidelity_functional_batch(op, np.eye(2)[None], 2),
     lambda op: verify_covariance(op, 2),
     lambda op: blocks_from_choi(op, build_irrep_table(2)),
+    lambda op: twirl(op, build_irrep_table(2)),
 ], ids=["comb_fidelity_functional", "comb_fidelity_functional_batch", "verify_covariance",
-        "blocks_from_choi"])
+        "blocks_from_choi", "twirl"])
 def test_wrong_size_operator_is_a_dimension_mismatch(check):
     with pytest.raises(DimensionMismatchError):
         check(np.eye(10))
@@ -276,7 +288,7 @@ def _random_covariant_blocks(d, table, rng):
 def test_blocks_choi_roundtrip_on_random_covariant(d):
     table = build_irrep_table(d)
     blocks = _random_covariant_blocks(d, table, SeededRng(30 + d))
-    choi = choi_from_blocks(blocks, table)
+    choi = CombNetwork(d=d, terms=terms_from_blocks(blocks, table)).choi
     assert max_abs(choi - dagger(choi)) < 1e-12
     assert verify_covariance(choi, d, trials=3) < 1e-9
     back = blocks_from_choi(choi, table)
@@ -290,7 +302,7 @@ def test_blocks_choi_roundtrip_on_random_covariant(d):
 def test_roundtrip_on_cloner_comb():
     table = build_irrep_table(2)
     r1 = choi_r1_of_cloner(2).choi
-    back = choi_from_blocks(blocks_from_choi(r1, table), table)
+    back = CombNetwork(d=2, terms=terms_from_blocks(blocks_from_choi(r1, table), table)).choi
     assert max_abs(back - r1) < 1e-9
 
 
@@ -300,7 +312,7 @@ def test_block_fidelity_matches_direct_functional(d):
     rng = SeededRng(40 + d)
     for trial in range(10):
         blocks = _random_covariant_blocks(d, table, rng.substream(trial))
-        choi = choi_from_blocks(blocks, table)
+        choi = CombNetwork(d=d, terms=terms_from_blocks(blocks, table)).choi
         f_blocks = block_fidelity(blocks, table)
         u = sample_haar_unitary(d, rng.substream(100 + trial))
         f_direct = comb_fidelity_functional(choi, u, d)
@@ -331,10 +343,10 @@ def test_blocks_from_choi_matches_per_entry_reference(d):
     table = build_irrep_table(d)
     rng = np.random.default_rng(80 + d)
     non_covariant = rng.standard_normal((d**6, d**6)) + 1j * rng.standard_normal((d**6, d**6))
-    operators = [(choi_r1_of_cloner(d).choi, 5), (choi_r1_of_decohered_cloner(d).choi, 5),
-                 (first_factor_network(d).choi, 5), (non_covariant, 0)]
-    for op, trials in operators:
-        blocks = blocks_from_choi(op, table, trials=trials)
+    operators = [choi_r1_of_cloner(d).choi, choi_r1_of_decohered_cloner(d).choi,
+                 first_factor_network(d).choi, non_covariant]
+    for op in operators:
+        blocks, _ = twirl(op, table)  # no guard: the non-covariant operator is projected too
         ref = reference_blocks_from_choi(op, table)
         assert list(blocks.blocks) == list(ref)
         for key, block in ref.items():
@@ -372,3 +384,119 @@ def test_verify_covariance_transient_memory_below_one_and_a_half_operators():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * op.nbytes
+
+
+def _combs(d):
+    return [choi_r1_of_cloner(d), choi_r1_of_decohered_cloner(d), first_factor_network(d)]
+
+
+def test_require_covariant_is_the_one_guard():
+    require_covariant(ATOL_COVARIANCE)
+    for residual in (2e-9, np.inf, np.nan):
+        with pytest.raises(NotCovariantError) as err:
+            require_covariant(residual)
+        assert err.value.residual == residual or np.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_agrees_with_verify_covariance_on_covariant_combs(d):
+    table = build_irrep_table(d)
+    for net in _combs(d):
+        assert twirl(net, table)[1] <= 1e-12
+        assert twirl(net.choi, table)[1] <= 1e-12
+        assert verify_covariance(net.choi, d, trials=3) <= 1e-12
+
+
+def _kick(d, where, kind, eps):
+    """(row, column, value) entries of a one-entry-pair kick of size eps.
+
+    ``where``: the entries differ in factor 3E only, in factor 0B only, or not
+    at all (a diagonal kick).  ``kind``: Hermitian or anti-Hermitian.
+    """
+    p, q = {"3E": (0, 1), "0B": (0, d**5), "diag": (d + 1, d + 1)}[where]
+    if p == q:
+        return [(p, p, eps if kind == "hermitian" else 1j * eps)]
+    return [(p, q, eps), (q, p, eps if kind == "hermitian" else -eps)]
+
+
+@pytest.mark.parametrize("where", ["3E", "0B", "diag"])
+@pytest.mark.parametrize("kind", ["hermitian", "anti_hermitian"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_reads_a_kick(d, kind, where):
+    eps = 1e-7
+    table = build_irrep_table(d)
+    bad = choi_r1_of_cloner(d).choi.copy()
+    for p, q, value in _kick(d, where, kind, eps):
+        bad[p, q] += value
+    residual = twirl(bad, table)[1]
+    assert residual > ATOL_COVARIANCE
+    assert verify_covariance(bad, d, trials=3) > ATOL_COVARIANCE
+    assert abs(residual - reference_twirl_residual(bad, table)) <= 1e-12
+    if where == "diag":
+        # a diagonal kick has a covariant part, which the distance leaves out:
+        # 1/16 of eps at d = 2, 1/150 at d = 3
+        assert 0.9 * eps < residual < eps
+    else:
+        assert abs(residual - eps) <= 0.01 * eps
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_on_terms_matches_linked_operator(d):
+    table = build_irrep_table(d)
+    gen = np.random.default_rng(70 + d)
+    shape = (3, d**3, d**3)
+    a, b = (gen.standard_normal((2,) + shape) + 1j * gen.standard_normal((2,) + shape))
+    for net in _combs(d) + [CombNetwork(d=d, terms=(a, b))]:
+        blocks, residual = twirl(net, table)
+        assert net._choi is None  # the term twirl links no dense operator
+        dense_blocks, dense_residual = twirl(net.choi, table)
+        assert abs(residual - dense_residual) <= 1e-12
+        for key, block in dense_blocks.blocks.items():
+            assert max_abs(blocks.blocks[key] - block) <= 1e-12
+    assert residual > 1.0  # the random terms are far from covariant
+
+
+def test_twirl_d4_on_terms():
+    table = build_irrep_table(4)
+    net = choi_r1_of_cloner(4)
+    tracemalloc.start()
+    try:
+        blocks, residual = twirl(net, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net._choi is None
+    assert peak <= 32 * 2**20  # the dense operator is 256 MiB
+    assert residual <= 1e-12
+    assert abs(block_fidelity(blocks, table) - closed_form_fidelity(4)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_terms_from_blocks_matches_dense_reassembly(d):
+    table = build_irrep_table(d)
+    gen = np.random.default_rng(60 + d)
+    blocks = IrrepBlocks(d=d, blocks={
+        key: gen.standard_normal((len(rows),) * 2) + 1j * gen.standard_normal((len(rows),) * 2)
+        for key, rows in block_keys(d)})
+    a, b = terms_from_blocks(blocks, table)
+    assert len(a) == len(b) == (5 if d == 2 else 6)
+    linked = CombNetwork(d=d, terms=(a, b)).choi
+    assert max_abs(linked - reference_choi_from_blocks(blocks, table)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_projection_is_idempotent(d, data):
+    # Pi(Pi(R)) = Pi(R): the twirl of a covariant operator built from blocks
+    # gives the blocks back, at zero distance
+    table = build_irrep_table(d)
+    blocks = {}
+    for key, rows in block_keys(d):
+        g = data.draw(arrays(np.float64, (2, len(rows), len(rows)), elements=st.floats(-1.0, 1.0)))
+        g = g[0] + 1j * g[1]
+        blocks[key] = g @ g.conj().T
+    back, residual = twirl(CombNetwork(d=d, terms=terms_from_blocks(
+        IrrepBlocks(d=d, blocks=blocks), table)), table)
+    assert residual <= 1e-12
+    for key, block in blocks.items():
+        assert max_abs(back.blocks[key] - block) <= 1e-12

@@ -10,8 +10,8 @@ from clonelab.baselines import f_estimation, f_learning
 from clonelab.channels import CombNetwork, insert_gate, channel_fidelity_with_double_unitary
 from clonelab.cloner import closed_form_fidelity
 from clonelab.haar import SeededRng, haar_unitaries
-from clonelab.irreps import (MU_LABELS, block_keys, build_irrep_table, choi_from_blocks,
-                             irrep_dims, sector_dims, valid_sectors)
+from clonelab.irreps import (MU_LABELS, block_keys, build_irrep_table, irrep_dims, sector_dims,
+                             terms_from_blocks, valid_sectors)
 from clonelab.linalg import psd_residual, worst
 from clonelab.optimizer import (
     ConvergenceError,
@@ -301,8 +301,7 @@ def test_optimal_clone_blocks_reconstruct_to_valid_comb():
     d = 2
     table = build_irrep_table(d)
     result = solve(build_problem(d, "clone"), tol=1e-8)
-    choi = choi_from_blocks(result.optimal_blocks, table)
-    net = CombNetwork(choi=choi, d=d)
+    net = CombNetwork(d=d, terms=terms_from_blocks(result.optimal_blocks, table))
     res_slot, res_input = net.normalization_residuals()
     assert max(res_slot, res_input) < 1e-7
     for u in haar_unitaries(d, 10, SeededRng(50)):
