@@ -370,9 +370,10 @@ def _suite_battery(rng: SeededRng, quick: bool):
                      for s in seeds)
 
     def sampled_sigmas():
-        sampled = proto.run_sampled("intercept_resend", bases(), 100_000, rng.substream(60))
+        sampled = proto.run_sampled("intercept_resend", bases(), 10**8, rng.substream(60))
         sigma = np.sqrt(0.375 * 0.625 / (sampled.rounds * sampled.sift_rate))
-        return abs(sampled.symbol_error_rate - 0.375) / sigma
+        return worst((abs(sampled.symbol_error_rate - 0.375) / sigma,
+                      abs(sampled.eve_guess_prob - 0.625) / sigma))
 
     yield "protocol_honest_exact", 0.0, lambda: (
         abs(exact("none").symbol_error_rate) + abs(exact("none").sift_rate - 0.5))
@@ -385,7 +386,7 @@ def _suite_battery(rng: SeededRng, quick: bool):
     yield "protocol_clone_attack_ordering", 0.0, lambda: float(not (
         exact("clone_attack").symbol_error_rate < 0.375 and exact("clone_attack").eve_guess_prob > 0.25))
     if not quick:
-        # in standard errors of the sifted symbol error rate
+        # in standard errors of the sifted symbol error and Eve guess rates
         yield "protocol_intercept_sampled_4sigma", 4.0, sampled_sigmas
 
 

@@ -21,11 +21,13 @@ symbol mu in basis b.  Exact mode reduces the table over the uniform
 (basis, symbol) cells with dyadic weights; for the canonical seed states every
 honest and intercept-resend probability is a dyadic rational and therefore
 exactly representable, so those statistics carry no rounding at all.  Sampled
-mode draws each sifted round's (nu_bob, nu_eve) from its cell's row of the
-table by inverse CDF.  Eve's measurement in the cloning attack is the
-projective measurement in the announced Bell-type basis on her retained pair
-(pluggable by swapping the basis construction); her numbers are outputs of
-this simulator, not externally given values.
+mode draws how many rounds fall in each (basis, symbol, outcome) bin, by one
+multinomial over the 16 equiprobable basis/symbol bins and one per sifted cell
+over its row of the table, and reduces those counts as exact mode reduces the
+table; its cost does not grow with the number of rounds.  Eve's measurement in
+the cloning attack is the projective measurement in the announced Bell-type
+basis on her retained pair (pluggable by swapping the basis construction); her
+numbers are outputs of this simulator, not externally given values.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .channels import insert_gate
 from .cloner import choi_r1_of_cloner
 from .haar import SeededRng
-from .linalg import ATOL_EQ, max_abs, partial_trace, require_unitary
+from .linalg import ATOL_EQ, max_abs, require_unitary
 
 STRATEGIES = ("none", "intercept_resend", "clone_attack")
 
@@ -60,8 +62,7 @@ def pauli_matrices() -> list[np.ndarray]:
 
 def rotation_gate() -> np.ndarray:
     """The 2pi/3 rotation about (1,1,1)/sqrt(3): (I + i(sx + sy + sz))/2."""
-    sx, sy, sz = pauli_matrices()[1:]
-    return (np.eye(2) + 1j * (sx + sy + sz)) / 2
+    return np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]]) / 2
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,13 @@ def mutual_unbiasedness_matrix(bases: GateBases) -> np.ndarray:
     return _overlaps(_states(bases, bases.bell_raw, travel_first=False))[1, :, 0, :]
 
 
+def _reduced_states(bell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both one-qubit reduced states of a two-qubit pure vector: the Gram
+    products M M^dagger and M^T M* of its 2 x 2 coefficient matrix M."""
+    m = bell.reshape(2, 2)
+    return m @ m.conj().T, m.T @ m.conj()
+
+
 def build_bases(bell_state: np.ndarray | None = None) -> GateBases:
     """Verify the seed state and assemble the two mutually unbiased gate bases.
 
@@ -126,9 +134,8 @@ def build_bases(bell_state: np.ndarray | None = None) -> GateBases:
         if raw.shape != (4,):
             raise ValueError(f"bell state must have 4 amplitudes, got {raw.shape}")
     bell = raw / np.sqrt(np.vdot(raw, raw).real)
-    rho = np.outer(bell, bell.conj())
-    for factor in (0, 1):
-        res = max_abs(partial_trace(rho, [2, 2], keep=[factor]) - np.eye(2) / 2)
+    for factor, rho in enumerate(_reduced_states(bell)):
+        res = max_abs(rho - np.eye(2) / 2)
         if not res <= ATOL_EQ:  # NaN fails
             raise ValueError(
                 f"seed state is not maximally entangled: factor {factor} residual {res:.3e}"
@@ -227,53 +234,41 @@ def run_exact(strategy: str, bases: GateBases) -> ProtocolStats:
                          float(eve_right / 8.0), mode="exact")
 
 
-def _sample_cells(weights: np.ndarray, counts: np.ndarray,
-                  gen: np.random.Generator) -> np.ndarray:
-    """Draw ``counts[c]`` outcomes from row c of ``weights``, cell after cell.
+def _sifted_counts(joint: np.ndarray, rounds: int, gen: np.random.Generator) -> np.ndarray:
+    """``counts[b, mu, nu_bob, nu_eve]``: how many of ``rounds`` rounds are
+    sifted with Alice's gate (b, mu), Bob's outcome nu_bob and Eve's nu_eve.
 
-    One uniform per draw, looked up by ``searchsorted`` in its row's CDF; no
-    (draws x outcomes) array is built.  Each CDF is scaled to end at exactly
-    1.0, so with right-sided search a zero-weight outcome is never returned.
+    Round order carries no information, so counts are drawn, not rounds: one
+    multinomial puts the rounds in the 16 equiprobable (Alice basis, symbol,
+    basis mismatch) bins, the first 8 being the sifted cells, and one
+    multinomial per cell splits its count over that cell's row of ``joint``.
+    Each row is drawn over its positive-weight outcomes only, so a zero-weight
+    outcome never receives a count (numpy hands the remainder to the last
+    category).  Time and memory are O(cells), whatever ``rounds`` is.
     """
-    cdf = np.cumsum(np.clip(weights, 0.0, None), axis=1)
-    if not (cdf[:, -1] > 0.0).all():  # NaN fails
+    # vanishing cloning-attack entries carry +-1e-17 roundoff
+    weights = np.clip(joint.reshape(8, 16), 0.0, None)
+    total = weights.sum(axis=1)
+    if not (total > 0.0).all():  # NaN fails
         raise ValueError("every cell needs a positive total weight")
-    cdf /= cdf[:, -1:]
-    u = np.split(gen.random(int(counts.sum())), np.cumsum(counts)[:-1])
-    return np.concatenate([np.searchsorted(row, part, side="right")
-                           for row, part in zip(cdf, u)])
-
-
-def _sifted_rounds(joint: np.ndarray, rounds: int, gen: np.random.Generator):
-    """Draw ``rounds`` rounds; (b, mu, nu_bob, nu_eve) of the sifted ones,
-    grouped by cell (round order carries no information)."""
-    alice_basis = gen.integers(0, 2, size=rounds, dtype=np.int8)
-    symbols = gen.integers(0, 4, size=rounds, dtype=np.int8)
-    bob_basis = gen.integers(0, 2, size=rounds, dtype=np.int8)
-    # sifted rounds fall in cells 0..7; unsifted ones in bins 8..15
-    counts = np.bincount(4 * alice_basis + symbols + 8 * (alice_basis != bob_basis),
-                         minlength=16)[:8]
-    cells = np.repeat(np.arange(8, dtype=np.int8), counts)
-    outcome = _sample_cells(joint.reshape(8, 16), counts, gen)
-    return (*np.divmod(cells, 4), *np.divmod(outcome, 4))
+    cells = gen.multinomial(rounds, np.full(16, 1 / 16))[:8]
+    counts = np.zeros((8, 16), dtype=np.int64)
+    for row, w, t, n in zip(counts, weights, total, cells):
+        drawn = w > 0.0
+        row[drawn] = gen.multinomial(n, w[drawn] / t)
+    return counts.reshape(joint.shape)
 
 
 def run_sampled(strategy: str, bases: GateBases, rounds: int,
                 rng: SeededRng) -> ProtocolStats:
-    """Monte Carlo protocol rounds drawn from the exact joint table."""
+    """Monte Carlo statistics of ``rounds`` protocol rounds, drawn as
+    per-bin counts from the exact joint table."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    _, mu, nu_bob, nu_eve = _sifted_rounds(_joint_table(strategy, bases), rounds,
-                                           rng.generator())
-    if mu.size == 0:
-        return ProtocolStats(strategy, 0.0, 0.0, 0.0, mode="sampled",
-                             rounds=rounds, seed=rng.seed)
-    return ProtocolStats(
-        strategy,
-        sift_rate=mu.size / rounds,
-        symbol_error_rate=float(np.mean(nu_bob != mu)),
-        eve_guess_prob=float(np.mean(nu_eve == mu)),
-        mode="sampled",
-        rounds=rounds,
-        seed=rng.seed,
-    )
+    counts = _sifted_counts(_joint_table(strategy, bases), rounds, rng.generator())
+    sifted = int(counts.sum())
+    per_sifted = max(sifted, 1)  # with no sifted round every rate reads 0
+    return ProtocolStats(strategy, sifted / rounds,
+                         (sifted - int(np.einsum("bmmn->", counts))) / per_sifted,
+                         int(np.einsum("bmnm->", counts)) / per_sifted,
+                         mode="sampled", rounds=rounds, seed=rng.seed)

@@ -123,6 +123,16 @@ def test_protocol_sampled_deterministic(capsys):
     assert doc1["seed"] == 5
 
 
+def test_protocol_sampled_trillion_rounds(capsys):
+    # sampled cost does not grow with the round count
+    code, doc = run_json(capsys, ["protocol", "--strategy", "clone",
+                                  "--rounds", "1000000000000", "--json"])
+    assert code == 0
+    assert doc["rounds"] == 10**12
+    for key in ("sift_rate", "symbol_error_rate", "eve_guess_prob"):
+        assert 0.0 <= doc[key] <= 1.0
+
+
 def test_protocol_csv(capsys):
     code = main(["protocol", "--strategy", "none", "--exact", "--csv"])
     out = capsys.readouterr().out.strip().splitlines()

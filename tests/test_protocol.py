@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from clonelab.channels import insert_gate, kraus_of
 from clonelab.cloner import choi_r1_of_cloner
 from clonelab.haar import SeededRng, haar_unitaries
-from clonelab.linalg import dagger, max_abs, tensor
+from clonelab.linalg import dagger, max_abs, partial_trace, tensor
 from clonelab import protocol
 from clonelab.protocol import (
     CLONE_ATTACK_EVE_GUESS,
@@ -147,6 +148,22 @@ def test_build_bases_canonical():
     assert len(bases.basis1) == 4 and len(bases.basis2) == 4
     overlaps = mutual_unbiasedness_matrix(bases)
     assert max_abs(overlaps - 0.25) == 0.0  # dyadic-exact for the canonical seed
+
+
+@pytest.mark.parametrize("index", [None, *range(4)])
+def test_reduced_states_match_partial_trace(index):
+    # maximally entangled seeds (residual ~0) and generic pure vectors alike
+    rng = np.random.default_rng(90 if index is None else 91 + index)
+    generic = rng.normal(size=(2, 4)).view(complex).reshape(-1)
+    seeds = [generic / np.linalg.norm(generic)]
+    seeds.append(build_bases(None if index is None else random_max_entangled(index)).bell)
+    for bell in seeds:
+        rho = np.outer(bell, bell.conj())
+        for factor, reduced in enumerate(protocol._reduced_states(bell)):
+            ref = partial_trace(rho, [2, 2], keep=[factor])
+            assert max_abs(reduced - ref) <= 1e-15
+            assert abs(max_abs(reduced - np.eye(2) / 2)
+                       - max_abs(ref - np.eye(2) / 2)) <= 1e-15
 
 
 def test_build_bases_rejects_product_state():
@@ -330,50 +347,76 @@ def test_joint_table_engine_matches_reference_on_random_seeds(index):
 
 @pytest.mark.parametrize("strategy", protocol.STRATEGIES)
 def test_sampled_outcomes_match_joint_table_per_cell(strategy):
-    # the marginal rate tests cannot see a mis-indexed CDF that keeps the
+    # the marginal rate tests cannot see a mis-indexed row that keeps the
     # rates; every (b, mu) cell's 16 outcome frequencies can
     rounds = 100_000
     bases = build_bases()
     joint = protocol._joint_table(strategy, bases)
-    b, mu, nu_bob, nu_eve = protocol._sifted_rounds(joint, rounds, SeededRng(70).generator())
-    counts = np.zeros(joint.shape)
-    np.add.at(counts, (b, mu, nu_bob, nu_eve), 1)
-    assert counts.sum() == b.size
+    counts = protocol._sifted_counts(joint, rounds, SeededRng(70).generator())
     p = np.clip(joint, 0.0, None)  # vanishing cloning entries carry ±1e-17 roundoff
     assert (counts[p == 0.0] == 0).all()
     n_cell = counts.sum(axis=(2, 3), keepdims=True)
     sigma = np.sqrt(p * (1.0 - p) / n_cell)
     assert (np.abs(counts / n_cell - p) <= 5 * sigma).all()
-    # run_sampled reports exactly these rounds
+    # run_sampled reports exactly these counts
+    sifted = counts.sum()
+    mu = np.arange(4)
     stats = run_sampled(strategy, bases, rounds, SeededRng(70))
-    assert stats.sift_rate == b.size / rounds
-    assert stats.symbol_error_rate == float(np.mean(nu_bob != mu))
-    assert stats.eve_guess_prob == float(np.mean(nu_eve == mu))
+    assert stats.sift_rate == sifted / rounds
+    assert stats.symbol_error_rate == (sifted - counts[:, mu, mu, :].sum()) / sifted
+    assert stats.eve_guess_prob == counts[:, mu, :, mu].sum() / sifted
 
 
-def test_sample_cells_rejects_weightless_cell():
+def test_sifted_counts_rejects_weightless_cell():
     weights = np.ones((8, 16))
     weights[3] = 0.0
-    with pytest.raises(ValueError):
-        protocol._sample_cells(weights, np.full(8, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="positive total weight"):
+        protocol._sifted_counts(weights.reshape(2, 4, 4, 4), 16, np.random.default_rng(0))
     weights[3, 0] = np.nan
-    with pytest.raises(ValueError):
-        protocol._sample_cells(weights, np.full(8, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="positive total weight"):
+        protocol._sifted_counts(weights.reshape(2, 4, 4, 4), 16, np.random.default_rng(0))
 
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(
     weights=arrays(np.float64, (8, 16), elements=st.floats(0.0, 1.0)),
     zeroed=arrays(np.bool_, (8, 16)),
-    counts=arrays(np.int64, 8, elements=st.integers(0, 40)),
+    rounds=st.one_of(st.integers(1, 40), st.integers(1, 10**12)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sample_cells_draws_only_weighted_outcomes(weights, zeroed, counts, seed):
+def test_sifted_counts_draws_only_weighted_outcomes(weights, zeroed, rounds, seed):
     weights = np.where(zeroed, 0.0, weights)
     assume((weights.sum(axis=1) > 0.0).all())
-    out = protocol._sample_cells(weights, counts, np.random.default_rng(seed))
-    again = protocol._sample_cells(weights, counts, np.random.default_rng(seed))
-    assert np.array_equal(out, again)
-    assert out.shape == (counts.sum(),)
-    assert ((out >= 0) & (out <= 15)).all()
-    assert (weights[np.repeat(np.arange(8), counts), out] > 0.0).all()
+    joint = weights.reshape(2, 4, 4, 4)
+    counts = protocol._sifted_counts(joint, rounds, np.random.default_rng(seed))
+    again = protocol._sifted_counts(joint, rounds, np.random.default_rng(seed))
+    assert np.array_equal(counts, again)
+    assert counts.shape == joint.shape and (counts >= 0).all()
+    assert (counts[joint == 0.0] == 0).all()
+    # each sifted cell's outcomes add up to that cell's count, drawn first
+    cells = np.random.default_rng(seed).multinomial(rounds, np.full(16, 1 / 16))[:8]
+    assert np.array_equal(counts.sum(axis=(2, 3)).reshape(-1), cells)
+
+
+def test_sifted_counts_skip_zero_weight_last_outcomes_at_huge_rounds():
+    # numpy's multinomial hands the remainder to the last category; at 1e18
+    # rounds the normalization roundoff of these rows would put counts on the
+    # zero-weight tail if it were part of the draw
+    weights = np.zeros((8, 16))
+    weights[:, :3] = 1.0
+    weights[1::2, :10] = 0.1
+    counts = protocol._sifted_counts(weights.reshape(2, 4, 4, 4), 10**18,
+                                     np.random.default_rng(0))
+    assert (counts.reshape(8, 16)[weights == 0.0] == 0).all()
+
+
+def test_sampled_memory_does_not_grow_with_rounds():
+    bases = build_bases()
+    for strategy in protocol.STRATEGIES:
+        tracemalloc.start()
+        try:
+            run_sampled(strategy, bases, 10**7, SeededRng(80))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (strategy, peak)
