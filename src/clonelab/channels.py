@@ -261,43 +261,33 @@ def comb_normalization_residuals(network: CombNetwork) -> tuple[float, float]:
         dims = [d] * 6
         reduced = partial_trace(network.choi, dims, keep=[0, 1, 2, 3])  # on (0B,0E,1,2)
         r0 = partial_trace(network.choi, dims, keep=[0, 1, 2]) / d      # on (0B,0E,1)
+        res_slot = max_abs(reduced - np.kron(r0, np.eye(d)))
     else:
         a, b = network.terms
-        tb = np.trace(b.reshape(-1, d, d * d, d, d * d), axis1=2, axis2=4)  # [k, 2, 2']
-        n4 = d**4
-        reduced = np.einsum("krc,kij->ricj", a, tb).reshape(n4, n4)
+        k = len(a)
+        tb = np.trace(b.reshape(k, d, d * d, d, d * d), axis1=2, axis2=4)  # [k, 2, 2']
         r0 = np.tensordot(np.trace(tb, axis1=1, axis2=2), a, axes=1) / d
-    res_slot = max_abs(reduced - np.kron(r0, np.eye(d)))
+        # Tr_{3B,3E}[R] - R0 (x) I_2 as [r, c, 2, 2'], rows r and columns c on (0B,0E,1)
+        diff = (a.reshape(k, -1).T @ tb.reshape(k, -1)).reshape(d**3, d**3, d, d)
+        for i in range(d):
+            diff[:, :, i, i] -= r0
+        res_slot = max_abs(diff)
     res_input = max_abs(partial_trace(r0, [d, d, d], keep=[0, 1]) - np.eye(d * d))
     return res_slot, res_input
-
-
-def term_row_slabs(a: np.ndarray, b: np.ndarray, d: int, out: np.ndarray | None = None):
-    """Yield (r1, R[r1]) for each row slab of R = sum_k a[k] (x) b[k], as [r2, c1, c2].
-
-    Each slab is one batched product with inner dimension K.  It is written
-    into ``out[r1]`` when ``out`` is the [r1, r2, c1, c2] operator, else into
-    one slab buffer that the next slab overwrites.
-    """
-    n3 = d**3
-    bt = b.transpose(1, 0, 2)  # [r2, k, c2]
-    buf = np.empty((n3, n3, n3), dtype=complex) if out is None else None
-    for r1 in range(n3):
-        slab = buf if out is None else out[r1]
-        np.matmul(a[:, r1].T, bt, out=slab)
-        yield r1, slab
 
 
 def _link_terms(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """The dense R[r1 r2, c1 c2] = sum_k a[k, r1, c1] b[k, r2, c2].
 
-    The row slabs are written straight into the output, so the comb is the
-    only operator-sized array.
+    Each row slab R[r1], as [r2, c1, c2], is one batched product with inner
+    dimension K, written straight into the output, so the comb is the only
+    operator-sized array.
     """
     n3 = d**3
     out = np.empty((n3, n3, n3, n3), dtype=complex)  # [r1, r2, c1, c2]
-    for _ in term_row_slabs(a, b, d, out):
-        pass
+    bt = b.transpose(1, 0, 2)  # [r2, k, c2]
+    for r1 in range(n3):
+        np.matmul(a[:, r1].T, bt, out=out[r1])
     return out.reshape(d**6, d**6)
 
 

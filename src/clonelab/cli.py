@@ -41,6 +41,7 @@ SEED_ENV = "CLONELAB_SEED"
 # the optimizer's closed-form target per task, and the largest accepted gap
 OPTIMIZER_REFERENCE = {"clone": opt.analytic_bound, "learn": bl.f_learning}
 OPTIMIZER_GAP_TOL = 1e-6
+ROUNDS_MAX = 2**63 - 1  # the sampler draws the round count as a 64-bit integer
 
 
 @dataclass
@@ -349,12 +350,41 @@ def cmd_protocol(args) -> int:
     return 0
 
 
+def _certificate_excess(problem: opt.OptimizationProblem, result: opt.OptimizationResult,
+                        closed_form: float) -> float:
+    """The larger of value - closed form and closed form - dual_bound, less an
+    allowance: at most 0 when value <= closed form <= dual_bound holds.
+
+    The solve returns a point X whose constraint rows A(X) miss b by at most
+    its primal residual p (max norm), so the value is at most the optimum
+    OPT(A(X)).  Both optima are positively homogeneous in b and do not
+    decrease as b grows, since PSD weight in a block (mu, nu) with nu != mu
+    raises the rows without touching the objective.  The cloning rows are two
+    budgets b_i > 0, so A(X) <= (1 + p / min b_i) b.  The learning rows are,
+    per irrep, an identity on at most 2 sectors whose entries miss by at most
+    p in real and imaginary part, a spectral error of at most 2 sqrt(2) p.
+    So value <= (1 + kappa p) OPT, with kappa = 1 / min b_i or 2 sqrt(2).
+    The dual bound holds for every exactly feasible X, so OPT <= dual_bound
+    up to rounding.  The allowance is (kappa p + n eps) times the closed form,
+    where n eps bounds the rounding of the n-term objective sum.
+    """
+    primal = result.trace[-1][1]
+    kappa = 1.0 / problem.rhs.min() if problem.task == "clone" else 2.0 * np.sqrt(2.0)
+    allowance = (kappa * primal + problem.objective.size * np.finfo(float).eps) * closed_form
+    return worst((result.optimal_value - closed_form,
+                  closed_form - result.dual_bound)) - allowance
+
+
 def _suite_battery(rng: SeededRng, quick: bool):
     """full-suite's optimizer, no-cloning arithmetic and protocol checks."""
+    problem = functools.cache(opt.build_problem)
+    solved = functools.cache(lambda d, task: opt.solve(problem(d, task), tol=1e-8))
     for d in (2,) if quick else (2, 3, 4):
         for task, ref in OPTIMIZER_REFERENCE.items():
             yield f"optimizer_{task}_d{d}", OPTIMIZER_GAP_TOL, lambda: abs(
-                opt.solve(opt.build_problem(d, task), tol=1e-8).optimal_value - ref(d))
+                solved(d, task).optimal_value - ref(d))
+            yield f"optimizer_certificate_{task}_d{d}", 0.0, lambda: _certificate_excess(
+                problem(d, task), solved(d, task), ref(d))
         yield f"learn_equals_estimation_d{d}", 0.0, lambda: abs(bl.f_learning(d) - bl.f_estimation(d))
     yield "no_cloning_fixed_points", 0.0, lambda: float(bl.no_cloning_fixed_points(1001) != [0.0, 0.5])
     yield "permutation_discrimination_n3", 0.0, lambda: float(
@@ -406,12 +436,15 @@ def cmd_full_suite(args) -> int:
     return _report(args, "full-suite", f"quick={args.quick}", checks, fields, summary)
 
 
-def _at_least(kind, minimum):
-    """argparse type: a ``kind`` value no smaller than ``minimum``."""
+def _in_range(kind, minimum, maximum=None):
+    """argparse type: a ``kind`` value no smaller than ``minimum`` and, when
+    given, no larger than ``maximum``."""
     def parse(text: str):
         value = kind(text)
         if not value >= minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
         return value
     parse.__name__ = kind.__name__  # names the type in argparse's "invalid ... value"
     return parse
@@ -428,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cloner", help="run the cloner invariant suite")
     p.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--samples", type=_at_least(int, 0), default=1000,
+    p.add_argument("--samples", type=_in_range(int, 0), default=1000,
                    help="Monte Carlo draws (internally capped per dimension)")
     p.add_argument("--seed", type=int, default=seed, help=seed_help)
     p.add_argument("--json", action="store_true")
@@ -440,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="re-derive an optimal fidelity numerically")
     p.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--task", choices=("clone", "learn"), required=True)
-    p.add_argument("--tol", type=_at_least(float, 1e-9), default=1e-7,
+    p.add_argument("--tol", type=_in_range(float, 1e-9), default=1e-7,
                    help="solver tolerance, at least 1e-9")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", type=str, default=None)
@@ -461,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="simulate the gate-encoded protocol")
     p.add_argument("--strategy", choices=tuple(_STRATEGY_ALIASES), required=True)
-    p.add_argument("--rounds", type=_at_least(int, 1), default=1000)
+    p.add_argument("--rounds", type=_in_range(int, 1, ROUNDS_MAX), default=1000)
     p.add_argument("--seed", type=int, default=seed, help=seed_help)
     p.add_argument("--exact", action="store_true",
                    help="exact statistics instead of sampled rounds")

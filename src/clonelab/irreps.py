@@ -15,7 +15,7 @@ An operator commuting with the product action on six factors
 These products are an orthogonal basis of the covariant operators.  This
 module builds the intertwiners and projects any six-factor operator onto
 that basis (``twirl``): the projection gives the coefficient blocks, and its
-distance to the operator is an exact covariance residual, which
+Frobenius distance to the operator is an exact covariance residual, which
 ``require_covariant`` guards.  ``terms_from_blocks`` rebuilds the covariant
 operator from its blocks as Kronecker terms.  ``verify_covariance``, the
 older test by commutators with random group elements, stays as an
@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import CombNetwork, max_entangled_vec, term_row_slabs
+from .channels import CombNetwork, max_entangled_vec
 from .haar import SeededRng, sample_haar_unitary
 from .linalg import (ATOL_COVARIANCE, as_matrix, as_operator, max_abs, require_gate_dim, tensor,
                      worst)
@@ -266,52 +266,80 @@ def terms_from_blocks(blocks: IrrepBlocks, table: IrrepTable) -> tuple[np.ndarra
     return first, np.tensordot(coeffs, second, axes=1)
 
 
+def _support(stack: np.ndarray) -> np.ndarray:
+    """The flat entries (r c) of a triple-space operator where some operator of
+    the (X, d^3, d^3) stack is nonzero, in row-major order."""
+    return np.flatnonzero(np.any(stack.reshape(len(stack), -1) != 0, axis=0))
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite R shows in the residual
 def twirl(comb: np.ndarray | CombNetwork, table: IrrepTable) -> tuple[IrrepBlocks, float]:
     """Project a six-factor operator R onto the covariant operators.
 
     The products T_x (x) T~_y are an orthogonal basis of the covariant
     operators, each of squared norm d_x d_y, so the coefficients
     Tr[(T_x (x) T~_y)^dagger R] / (d_x d_y) are the blocks of the orthogonal
-    projection Pi(R).  Returns them with max|R - Pi(R)|, the distance of R to
-    the covariant operators: rounding-level exactly when R is covariant, NaN
-    when R has a NaN entry.
+    projection Pi(R).  Returns them with the Frobenius distance
+    ||R - Pi(R)||_F of R to the covariant operators: rounding-level exactly
+    when R is covariant, NaN or inf when R has a non-finite entry.
 
-    R is a dense operator or a ``CombNetwork``.  A dense R is realigned once
-    into M[(r1 c1), (r2 c2)] = R[(r1 r2), (c1 c2)], and the coefficients are
-    one product over the stacked intertwiners.  On terms R = sum_k a_k (x) b_k
-    they are sum_k Tr[T_x^dagger a_k] Tr[T~_y^dagger b_k], and the dense
-    operator is never linked.  The residual is taken one row slab of
-    R - Pi(R) at a time, with Pi(R) as ``terms_from_blocks``.
+    Realigned as M[(r1 c1), (r2 c2)] = R[(r1 r2), (c1 c2)], every T_x (x) T~_y
+    is the outer product vec(T_x) vec(T~_y)^T, which is zero off the supports
+    s1 x s2 of the two stacks (20, 93 and 256 of the d^6 entries of a triple
+    at d = 2, 3, 4).  A dense R is therefore read at those entries only for
+    the coefficients, one product with the gathered M[s1, s2].  Pi(R) is
+    zero off them too, so the residual is one pass over the row slabs R[r1]:
+    each is copied into one buffer, its support entries are overwritten
+    with R - Pi(R), and the squared norms are summed.  On terms
+    R = sum_k a_k (x) b_k the coefficients are sum_k Tr[T_x^dagger a_k]
+    Tr[T~_y^dagger b_k], and M - Pi(M) is A^T B with the rows vec(a_k),
+    vec(pa_x) stacked into A and vec(b_k), -vec(pb_x) into B (Pi(R) as the
+    ``terms_from_blocks`` terms pa, pb).  Its norm is ||R_A R_B^T||_F with
+    R_A, R_B the triangular QR factors of A^T and B^T, so no squared norms
+    are subtracted and the dense operator is never linked.
     """
     d = table.d
     n3 = d**3
     first, second = _stacks(table)
-    tx, ty = first.conj().reshape(len(first), -1), second.conj().reshape(len(second), -1)
+    s1, s2 = _support(first), _support(second)
+    tx = first.reshape(len(first), -1)[:, s1].conj()
+    ty = second.reshape(len(second), -1)[:, s2].conj()
     terms = comb.terms if isinstance(comb, CombNetwork) else None
     if terms is None:
-        choi = as_operator(comb.choi if isinstance(comb, CombNetwork) else comb, d**6)
-        r4 = choi.reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
-        realigned = r4.transpose(0, 2, 1, 3).reshape(n3 * n3, n3 * n3)
-        coeffs = tx @ realigned @ ty.T
+        r4 = as_operator(comb.choi if isinstance(comb, CombNetwork) else comb,
+                         d**6).reshape(n3, n3, n3, n3)  # [r1, r2, c1, c2]
+        (r1, c1), (r2, c2) = np.divmod(s1, n3), np.divmod(s2, n3)
+        gathered = r4[r1[:, None], r2, c1[:, None], c2]  # M[s1, s2]
+        coeffs = tx @ gathered @ ty.T
     else:
-        a, b = terms
-        coeffs = (tx @ a.reshape(len(a), -1).T) @ (ty @ b.reshape(len(b), -1).T).T
+        a, b = (p.reshape(len(p), -1) for p in terms)
+        coeffs = (tx @ a[:, s1].T) @ (ty @ b[:, s2].T).T
     norms = np.array([irrep_dims(d)[mu] for mu, _, _ in table.intertwiners], dtype=float)
     coeffs /= np.outer(norms, norms)
     blocks = IrrepBlocks(d=d, blocks={key: coeffs[x, y]
                                       for key, (x, y) in _coefficient_index(table).items()})
-    pa, pb = terms_from_blocks(blocks, table)
+    pa, pb = (p.reshape(len(p), -1) for p in terms_from_blocks(blocks, table))
     if terms is None:
-        residual = worst(max_abs(r4[r1] - slab) for r1, slab in term_row_slabs(pa, pb, d))
+        gathered -= pa[:, s1].T @ pb[:, s2]  # (M - Pi(M))[s1, s2]
+        rows = np.searchsorted(r1, np.arange(n3 + 1))  # the s1 entries of slab r1
+        buf = np.empty((n3, n3, n3), dtype=complex)
+        total = 0.0
+        for r in range(n3):
+            np.copyto(buf, r4[r])
+            lo, hi = rows[r], rows[r + 1]
+            buf[r2, c1[lo:hi, None], c2] = gathered[lo:hi]
+            total += np.vdot(buf, buf).real
+        residual = float(np.sqrt(total))
     else:
-        residual = worst(max_abs(slab) for _, slab in term_row_slabs(
-            np.concatenate([a, pa]), np.concatenate([b, -pb]), d))
+        r_a = np.linalg.qr(np.concatenate([a, pa]).T, mode="r")
+        r_b = np.linalg.qr(np.concatenate([b, -pb]).T, mode="r")
+        residual = float(np.linalg.norm(r_a @ r_b.T))
     return blocks, residual
 
 
 def require_covariant(residual: float) -> None:
     """The one covariance guard: NotCovariantError unless the twirl residual
-    is within ``ATOL_COVARIANCE`` (NaN fails)."""
+    ||R - Pi(R)||_F is within ``ATOL_COVARIANCE`` (NaN fails)."""
     if not residual <= ATOL_COVARIANCE:
         raise NotCovariantError(residual, ATOL_COVARIANCE)
 

@@ -28,8 +28,9 @@ ATOL_HERMITIAN = 1e-10  # Hermiticity of an operator given as Hermitian
 # difference of states), where rounding may exceed ATOL_HERMITIAN
 ATOL_HERMITIAN_EIG = 1e-8
 ATOL_RANK = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
-# twirl residual max|R - Pi(R)|, the max-abs distance of an operator to the
-# covariant operators, accepted before its coefficient blocks are used
+# twirl residual ||R - Pi(R)||_F, the Frobenius distance of an operator to the
+# covariant operators, accepted before its coefficient blocks are used; it is
+# at least the largest entry of R - Pi(R)
 ATOL_COVARIANCE = 1e-9
 
 GATE_DIM_MIN = 2

@@ -20,9 +20,10 @@ CRITERIA = {
         "pre_channel_trace_preserving", "post_channel_trace_preserving",
         "fidelity_matches_closed_form", "fidelity_constant_over_gates",
         "compose_vs_closed_form_choi", "controlled_swap_dilation"), D234)),
-    2: ("optimizer reproduces cloning optimum", {"optimizer_clone": D234}),
-    3: ("learning optimum equals estimation values",
-        dict.fromkeys(("optimizer_learn", "learn_equals_estimation"), D234)),
+    2: ("optimizer reproduces cloning optimum",
+        dict.fromkeys(("optimizer_clone", "optimizer_certificate_clone"), D234)),
+    3: ("learning optimum equals estimation values", dict.fromkeys((
+        "optimizer_learn", "optimizer_certificate_learn", "learn_equals_estimation"), D234)),
     4: ("decohered fidelity = 1/d^2", {"decohered_fidelity_1_over_d2": D234}),
     5: ("comb calculus consistency", dict.fromkeys((
         "comb_finite", "comb_normalization_slot", "comb_normalization_input",

@@ -513,6 +513,35 @@ def test_normalization_on_terms_matches_dense(d):
     assert max(on_terms) > 1e-4  # the kick is visible
 
 
+def reference_term_normalization_residuals(network):
+    """The term residuals by the generic einsum and the broadcast kron(R0, I)
+    comparison, which the one product with in-place diagonal slices replaced."""
+    d = network.d
+    a, b = network.terms
+    tb = np.trace(b.reshape(-1, d, d * d, d, d * d), axis1=2, axis2=4)
+    n4 = d**4
+    reduced = np.einsum("krc,kij->ricj", a, tb).reshape(n4, n4)
+    r0 = np.tensordot(np.trace(tb, axis1=1, axis2=2), a, axes=1) / d
+    res_slot = np.abs(reduced - np.kron(r0, np.eye(d))).max()
+    res_input = np.abs(np.einsum("acbc->ab", r0.reshape(d * d, d, d * d, d))
+                       - np.eye(d * d)).max()
+    return res_slot, res_input
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_normalization_on_terms_matches_einsum_reference(d):
+    gen = np.random.default_rng(130 + d)
+    nets = [build(d) for build in (cloner.choi_r1_of_cloner, cloner.choi_r1_of_decohered_cloner,
+                                   cloner.first_factor_network)]
+    a, b = (t.copy() for t in nets[0].terms)
+    a[1] += 1e-3 * random_terms(gen, d, 1)[0][0]
+    nets.append(CombNetwork(d=d, terms=(a, b)))
+    nets.append(CombNetwork(d=d, terms=random_terms(gen, d, 3)))
+    for net in nets:
+        new, ref = comb_normalization_residuals(net), reference_term_normalization_residuals(net)
+        assert np.abs(np.subtract(new, ref)).max() <= 1e-15 * max(1.0, *ref)
+
+
 def test_insert_fidelity_covariant_under_group_action():
     # conjugating the network by the symmetry action and compensating the
     # gate leaves the computed fidelity unchanged

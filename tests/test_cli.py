@@ -133,6 +133,18 @@ def test_protocol_sampled_trillion_rounds(capsys):
         assert 0.0 <= doc[key] <= 1.0
 
 
+def test_protocol_sampled_rounds_at_the_int64_limit(capsys):
+    # the largest accepted round count runs; one more is a usage error (exit 2)
+    code, doc = run_json(capsys, ["protocol", "--strategy", "clone",
+                                  "--rounds", str(2**63 - 1), "--json"])
+    assert code == 0
+    assert doc["rounds"] == 2**63 - 1
+    with pytest.raises(SystemExit) as err:
+        main(["protocol", "--strategy", "clone", "--rounds", str(2**63)])
+    assert err.value.code == 2
+    assert "must be <= 9223372036854775807" in capsys.readouterr().err
+
+
 def test_protocol_csv(capsys):
     code = main(["protocol", "--strategy", "none", "--exact", "--csv"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -194,6 +206,7 @@ def test_verify_cloner_nan_corruption_fails(capsys, monkeypatch):
     (["protocol", "--strategy", "none", "--rounds", "0"], None),
     (["protocol", "--strategy", "none"], "abc"),
     (["verify-cloner", "--d", "2", "--samples", "-5"], None),
+    (["protocol", "--strategy", "none", "--rounds", "10000000000000000000"], None),
 ])
 def test_bad_input_exits_2_at_parse_time(argv, env, capsys, monkeypatch):
     if env is not None:
