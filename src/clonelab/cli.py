@@ -437,14 +437,16 @@ def cmd_full_suite(args) -> int:
 
 
 def _in_range(kind, minimum, maximum=None):
-    """argparse type: a ``kind`` value no smaller than ``minimum`` and, when
-    given, no larger than ``maximum``."""
+    """argparse type: a finite ``kind`` value no smaller than ``minimum`` and,
+    when given, no larger than ``maximum``."""
     def parse(text: str):
         value = kind(text)
-        if not value >= minimum:
+        if not value >= minimum:  # NaN fails
             raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {text}")
+        if value == np.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # names the type in argparse's "invalid ... value"
     return parse
@@ -474,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, choices=(2, 3, 4), required=True)
     p.add_argument("--task", choices=("clone", "learn"), required=True)
     p.add_argument("--tol", type=_in_range(float, 1e-9), default=1e-7,
-                   help="solver tolerance, at least 1e-9")
+                   help="solver tolerance, finite and at least 1e-9")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_optimize)

@@ -318,7 +318,9 @@ def twirl(comb: np.ndarray | CombNetwork, table: IrrepTable) -> tuple[IrrepBlock
     coeffs /= np.outer(norms, norms)
     blocks = IrrepBlocks(d=d, blocks={key: coeffs[x, y]
                                       for key, (x, y) in _coefficient_index(table).items()})
-    pa, pb = (p.reshape(len(p), -1) for p in terms_from_blocks(blocks, table))
+    # Pi(R) as the terms_from_blocks terms: the index covers every (x, y) once
+    pa = first.reshape(len(first), -1)
+    pb = np.tensordot(coeffs, second, axes=1).reshape(len(second), -1)
     if terms is None:
         gathered -= pa[:, s1].T @ pb[:, s2]  # (M - Pi(M))[s1, s2]
         rows = np.searchsorted(r1, np.arange(n3 + 1))  # the s1 entries of slab r1

@@ -13,9 +13,12 @@ corrector, each step taken to 0.98 of the boundary of the cone, the
 boundary found by a Cholesky factor and ``eigvalsh``.  The constraint rows
 are first reduced to an orthonormal basis of their row space, so that the
 Schur complement stays nonsingular when rows are redundant.  It starts from
-the strictly feasible ``initial`` point with S = I and y = 0, and it stops
-when the relative duality gap, the primal residual on the original rows and
-the dual residual are all within tol/10.
+the strictly feasible ``initial`` point.  When the identity lies in the row
+space, the dual starts feasible and scaled to the objective: y = t coef with
+A*(coef) = I, so S = tI - C, t = 2 max|lambda(C)| (1 at C = 0); otherwise
+it starts at y = 0, S = I.  It stops when the relative duality gap, the
+primal residual on the original rows and the dual residual are all within
+tol/10.
 
 Every feasible X has the same trace when the identity lies in the row space
 of the constraints, so a dual iterate y certifies the upper bound
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irreps import IrrepBlocks, MU_LABELS, block_keys, irrep_dims, sector_dims, valid_sectors
-from .linalg import require_gate_dim
+from .linalg import ATOL_EQ, require_gate_dim
 
 TASKS = ("clone", "learn")
 
@@ -237,14 +240,22 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     relative gap and on both residuals.  Raises ``ConvergenceError`` after
     ``max_iterations`` Newton steps or when an iterate leaves the interior
     numerically, and so on a constraint system that no point satisfies.
+    Raises ``ValueError`` on a tolerance that is not finite or below 1e-9,
+    on a non-finite problem field and on a start ``initial`` that is not
+    positive definite.
     """
-    if not tol >= 1e-9:  # NaN fails
-        raise ValueError(f"tol must be >= 1e-9, got {tol}")
-    for field in ("objective", "constraints", "rhs"):
+    if not 1e-9 <= tol < np.inf:  # NaN fails
+        raise ValueError(f"tol must be finite and >= 1e-9, got {tol}")
+    for field in ("objective", "constraints", "rhs", "initial"):
         # a non-finite entry would otherwise surface as a failed factorization
         if not np.isfinite(getattr(problem, field)).all():
             raise ValueError(f"problem {field} has a non-finite entry")
     space = problem.space
+    x_mat = space.embed(problem.initial)
+    try:
+        np.linalg.cholesky(x_mat)
+    except np.linalg.LinAlgError:
+        raise ValueError("problem initial is not positive definite") from None
     a_orig, b_orig, c = problem.constraints, problem.rhs, problem.objective
     # an orthonormal basis of the row space and the matching right-hand side
     u, s, vt = np.linalg.svd(a_orig, full_matrices=False)
@@ -253,9 +264,12 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     c_mat = _hermitian(space.embed(c))
 
     inner = max(tol / 10.0, 1e-13)
-    x_mat = space.embed(problem.initial)
-    y = np.zeros(rank)
-    s_mat = np.eye(space.n, dtype=complex)
+    coef = _identity_coefficients(space, rows)
+    if coef is None:
+        y, s_mat = np.zeros(rank), np.eye(space.n, dtype=complex)
+    else:  # dual feasible: S = tI - C, positive definite
+        y = (2 * np.abs(np.linalg.eigvalsh(c_mat)).max() or 1.0) * coef
+        s_mat = rows.adjoint(y) - c_mat
     trace = []
     value = primal = dual = gap = np.inf
     it = 0
@@ -369,11 +383,21 @@ def _dual_bound(space, rows: _Rows, y, c_mat) -> float:
     lam = np.linalg.eigvalsh(rows.adjoint(y) - c_mat)[0]
     if lam >= 0:
         return float(rows.b @ y)
-    ident = np.eye(space.n, dtype=complex)
-    coef = rows(ident)
-    if np.abs(rows.adjoint(coef) - ident).max() > 1e-9:  # not in the row space
+    coef = _identity_coefficients(space, rows)
+    if coef is None:
         return np.inf
     return float(rows.b @ y - lam * (coef @ rows.b))
+
+
+def _identity_coefficients(space, rows: _Rows):
+    """The identity's coefficients coef = (Re Tr A_i)_i in the orthonormal
+    rows, so that sum_i coef_i A_i = I; None when the identity is not in
+    their span."""
+    ident = np.eye(space.n, dtype=complex)
+    coef = rows(ident)
+    if np.abs(rows.adjoint(coef) - ident).max() > ATOL_EQ:
+        return None
+    return coef
 
 
 def analytic_bound(d: int) -> float:

@@ -220,6 +220,19 @@ def test_bad_input_exits_2_at_parse_time(argv, env, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("tol", ["inf", "Infinity", "nan"])
+def test_optimize_non_finite_tol_exits_2(tol, capsys):
+    # an infinite tolerance used to pass the >= 1e-9 test, stop the solve
+    # after one Newton step and print FAIL with exit code 1
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--d", "2", "--task", "clone", "--tol", tol])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --tol" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_invalid_corruption_hook_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CLONELAB_CORRUPT_R1", "1e-3x")
     with pytest.raises(SystemExit) as err:

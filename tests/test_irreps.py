@@ -505,6 +505,22 @@ def test_terms_from_blocks_matches_dense_reassembly(d):
     assert max_abs(linked - reference_choi_from_blocks(blocks, table)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_terms_from_blocks_are_the_twirl_terms(d):
+    # twirl takes Pi(R)'s terms from its full coefficient matrix: pa = the
+    # first stack, pb = coeffs . second stack.  The block index covers every
+    # (x, y) once, so terms_from_blocks gives the same arrays bit for bit
+    table = build_irrep_table(d)
+    first, second = irreps._stacks(table)
+    gen = np.random.default_rng(140 + d)
+    coeffs = gen.standard_normal((len(first),) * 2) + 1j * gen.standard_normal((len(first),) * 2)
+    blocks = IrrepBlocks(d=d, blocks={key: coeffs[x, y]
+                                      for key, (x, y) in irreps._coefficient_index(table).items()})
+    a, b = terms_from_blocks(blocks, table)
+    assert np.array_equal(a, first)
+    assert np.array_equal(b, np.tensordot(coeffs, second, axes=1))
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(d=st.sampled_from([2, 3]), data=st.data())
 def test_projection_is_idempotent(d, data):

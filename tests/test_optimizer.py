@@ -413,6 +413,45 @@ def test_solve_matches_reference_loop_on_random_objectives(d, task):
         assert 0 <= result.certified_gap <= tol
 
 
+SIX = [(d, task) for d in (2, 3, 4) for task in ("clone", "learn")]
+
+
+@pytest.mark.parametrize("d, task", SIX)
+def test_scaled_dual_start_is_feasible(d, task):
+    # the identity lies in the row space, so the dual starts at S = tI - C
+    # with y = t coef, feasible: the first step keeps the dual residual at
+    # rounding
+    result = solve(build_problem(d, task), tol=1e-8)
+    assert result.trace[0][2] <= 1e-14
+
+
+def test_scaled_dual_start_step_counts():
+    # the y = 0, S = I start took 8/8/9/9/9/10 steps, 53 in all
+    steps = [solve(build_problem(d, task), tol=1e-8).iterations for d, task in SIX]
+    assert max(steps) <= 8
+    assert sum(steps) <= 45
+
+
+def test_fallback_start_when_the_trace_is_free():
+    # the clone rows without the "-" budget leave Tr X free, so the solve
+    # starts at y = 0, S = I; a negative definite objective keeps it bounded
+    tol = 1e-8
+    problem = build_problem(2, "clone")
+    space = problem.space
+    rng = np.random.default_rng(7)
+    neg = {key: -(m @ m.conj().T + np.eye(len(m)))
+           for key, m in random_hermitian_blocks(space, rng).items()}
+    c = space.flatten(neg)
+    c *= np.abs(problem.objective).max() / np.abs(c).max()
+    free = dataclasses.replace(problem, objective=c, constraints=problem.constraints[:1],
+                               rhs=problem.rhs[:1])
+    value, _ = reference_solve(free, tol=tol)
+    result = solve(free, tol=tol)
+    assert result.trace[0][2] > 1e-6  # the dual started infeasible
+    assert abs(result.optimal_value - value) <= 2 * tol * abs(value)
+    assert value <= result.dual_bound + tol * abs(value)
+
+
 def test_dual_bound_uses_the_fixed_trace():
     # at y = 0 the slack is S = -C and the bound is lambda_max(C) Tr X, with
     # Tr X = d^3 fixed by the two clone budgets; one budget leaves it free
@@ -454,6 +493,28 @@ def test_solve_rejects_nan_tolerance():
     # a NaN tolerance would pass an ordered comparison and never stop
     with pytest.raises(ValueError):
         solve(build_problem(2, "clone"), tol=float("nan"), max_iterations=300)
+
+
+def test_solve_rejects_infinite_tolerance():
+    # an infinite tolerance passed tol >= 1e-9 and returned the point after
+    # one Newton step (KKT residual 7.4e-2)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        solve(build_problem(2, "clone"), tol=float("inf"))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (float("nan"), "problem initial has a non-finite entry"),
+    (-1.0, "problem initial is not positive definite"),
+    (0.0, "problem initial is not positive definite"),
+])
+def test_solve_rejects_bad_initial_point(bad, message):
+    # a NaN or indefinite start used to end in "no convergence after 0
+    # iterations: best value inf, residual inf"
+    problem = build_problem(2, "clone")
+    initial = problem.initial.copy()
+    initial[0] = bad  # the first diagonal entry of the first block
+    with pytest.raises(ValueError, match=message):
+        solve(dataclasses.replace(problem, initial=initial))
 
 
 @pytest.mark.parametrize("field", ["objective", "constraints", "rhs"])
