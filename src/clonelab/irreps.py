@@ -360,16 +360,16 @@ def blocks_from_choi(comb: np.ndarray | CombNetwork, table: IrrepTable,
     return blocks
 
 
-def block_fidelity(blocks: IrrepBlocks, table: IrrepTable) -> float:
-    """Haar-averaged fidelity (1/d^4) sum_mu d_mu sum_ij r^{mu mu}_{ii,jj}."""
-    d = table.d
+def fidelity_terms(d: int) -> list:
+    """The Haar-averaged fidelity (1/d^4) sum_mu d_mu sum_ij r^{mu mu}_{ii,jj}
+    as weighted block entries: ((mu, mu), (i, i), (j, j), d_mu / d^4) terms."""
     dims = irrep_dims(d)
-    total = 0.0 + 0.0j
-    for mu in MU_LABELS:
-        signs = valid_sectors(mu, d)
-        if not signs:
-            continue
-        for i in signs:
-            for j in signs:
-                total += dims[mu] * blocks.entry(mu, mu, (i, i), (j, j))
-    return float(np.real(total)) / d**4
+    return [((mu, mu), (i, i), (j, j), dims[mu] / d**4) for mu in MU_LABELS
+            for i in valid_sectors(mu, d) for j in valid_sectors(mu, d)]
+
+
+def block_fidelity(blocks: IrrepBlocks, table: IrrepTable) -> float:
+    """Haar-averaged fidelity of covariant blocks: Re sum w r over
+    ``fidelity_terms``."""
+    return float(sum(w * blocks.entry(*key, ik, jl)
+                     for key, ik, jl, w in fidelity_terms(table.d)).real)

@@ -91,7 +91,9 @@ def as_operator(m, n: int) -> np.ndarray:
 
 
 def require_gate_dim(d: int) -> int:
-    """Validate a gate dimension against the supported range 2..4."""
+    """Validate a gate dimension: an integer in the supported range 2..4."""
+    if d != int(d):
+        raise DimensionMismatchError(f"gate dimension d={d} is not an integer")
     d = int(d)
     if not GATE_DIM_MIN <= d <= GATE_DIM_MAX:
         raise DimensionMismatchError(

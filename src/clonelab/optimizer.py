@@ -12,13 +12,14 @@ embedded along the diagonal of one n x n Hermitian matrix (n = 9 at d = 2,
 corrector, each step taken to 0.98 of the boundary of the cone, the
 boundary found by a Cholesky factor and ``eigvalsh``.  The constraint rows
 are first reduced to an orthonormal basis of their row space, so that the
-Schur complement stays nonsingular when rows are redundant.  It starts from
-the strictly feasible ``initial`` point.  When the identity lies in the row
-space, the dual starts feasible and scaled to the objective: y = t coef with
-A*(coef) = I, so S = tI - C, t = 2 max|lambda(C)| (1 at C = 0); otherwise
-it starts at y = 0, S = I.  It stops when the relative duality gap, the
-primal residual on the original rows and the dual residual are all within
-tol/10.
+Schur complement stays nonsingular when rows are redundant.  The primal
+starts at the feasible point nearest the identity, X = I + A*(b - A(I)) in
+the orthonormal rows, which must be positive definite.  When the identity
+lies in the row space, the dual starts feasible and scaled to the objective:
+y = t coef with coef = A(I), so A*(coef) = I and S = tI - C,
+t = 2 max|lambda(C)| (1 at C = 0); otherwise it starts at y = 0, S = I.  It
+stops when the relative duality gap, the primal residual on the original
+rows and the dual residual are all within tol/10.
 
 Every feasible X has the same trace when the identity lies in the row space
 of the constraints, so a dual iterate y certifies the upper bound
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irreps import IrrepBlocks, MU_LABELS, block_keys, irrep_dims, sector_dims, valid_sectors
+from .irreps import (IrrepBlocks, MU_LABELS, block_keys, fidelity_terms, irrep_dims, sector_dims,
+                     valid_sectors)
 from .linalg import ATOL_EQ, require_gate_dim
 
 TASKS = ("clone", "learn")
@@ -127,7 +129,6 @@ class OptimizationProblem:
     constraints: np.ndarray
     rhs: np.ndarray
     scale: dict
-    initial: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class OptimizationResult:
 
 
 def build_problem(d: int, task: str) -> OptimizationProblem:
-    """Assemble objective, constraints, scaling, and the feasible start point."""
+    """Assemble the objective, the constraints and the block scaling."""
     d = require_gate_dim(d)
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
@@ -171,9 +172,7 @@ def build_problem(d: int, task: str) -> OptimizationProblem:
             f[key][a, b] += np.conj(w) / 2
         return space.flatten(f)
 
-    c = coefficients(((mu, mu), (i, i), (j, j), dims[mu] / (d**4 * scale[(mu, mu)]))
-                     for mu in MU_LABELS for i in valid_sectors(mu, d)
-                     for j in valid_sectors(mu, d))
+    c = coefficients((key, ik, jl, w / scale[key]) for key, ik, jl, w in fidelity_terms(d))
     if task == "clone":
         # sum_{mu nu} d_mu d_nu sum_k X_{(ik),(ik)} = d_i d  for i = +/-;
         # d_mu d_nu cancels against the block scale
@@ -197,38 +196,12 @@ def build_problem(d: int, task: str) -> OptimizationProblem:
                                                  for k in valid_sectors(nu, d)))
                         rhs.append(float(i == j))
 
-    x0 = _feasible_diagonal_start(d, task, space, dims, sec)
     return OptimizationProblem(
         d=d, task=task, space=space,
         objective=c,
         constraints=np.array(rows), rhs=np.array(rhs),
-        scale=scale, initial=x0,
+        scale=scale,
     )
-
-
-def _feasible_diagonal_start(d, task, space, dims, sec) -> np.ndarray:
-    """Identity-proportional feasible point.
-
-    The constraint groups touch disjoint diagonal coordinate sets, so the
-    scaling reduces to one scalar per group.
-    """
-    mats = {key: np.zeros((len(space.rows[key]),) * 2, dtype=complex) for key in space.keys}
-    if task == "clone":
-        for i in "+-":
-            slots = [(key, a) for key in space.keys
-                     for a, (si, _) in enumerate(space.rows[key]) if si == i]
-            val = sec[i] * d / len(slots)
-            for key, a in slots:
-                mats[key][a, a] = val
-    else:
-        for mu in MU_LABELS:
-            for i in valid_sectors(mu, d):
-                slots = [(key, a) for key in space.keys if key[0] == mu
-                         for a, (si, _) in enumerate(space.rows[key]) if si == i]
-                val = dims[mu] / len(slots)
-                for key, a in slots:
-                    mats[key][a, a] = val
-    return space.flatten(mats)
 
 
 def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
@@ -241,21 +214,16 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     ``max_iterations`` Newton steps or when an iterate leaves the interior
     numerically, and so on a constraint system that no point satisfies.
     Raises ``ValueError`` on a tolerance that is not finite or below 1e-9,
-    on a non-finite problem field and on a start ``initial`` that is not
-    positive definite.
+    on a non-finite problem field and when the feasible point nearest the
+    identity, the start, is not positive definite.
     """
     if not 1e-9 <= tol < np.inf:  # NaN fails
         raise ValueError(f"tol must be finite and >= 1e-9, got {tol}")
-    for field in ("objective", "constraints", "rhs", "initial"):
+    for field in ("objective", "constraints", "rhs"):
         # a non-finite entry would otherwise surface as a failed factorization
         if not np.isfinite(getattr(problem, field)).all():
             raise ValueError(f"problem {field} has a non-finite entry")
     space = problem.space
-    x_mat = space.embed(problem.initial)
-    try:
-        np.linalg.cholesky(x_mat)
-    except np.linalg.LinAlgError:
-        raise ValueError("problem initial is not positive definite") from None
     a_orig, b_orig, c = problem.constraints, problem.rhs, problem.objective
     # an orthonormal basis of the row space and the matching right-hand side
     u, s, vt = np.linalg.svd(a_orig, full_matrices=False)
@@ -264,12 +232,20 @@ def solve(problem: OptimizationProblem, tol: float = DEFAULT_TOL,
     c_mat = _hermitian(space.embed(c))
 
     inner = max(tol / 10.0, 1e-13)
-    coef = _identity_coefficients(space, rows)
-    if coef is None:
-        y, s_mat = np.zeros(rank), np.eye(space.n, dtype=complex)
-    else:  # dual feasible: S = tI - C, positive definite
+    coef, spanned = _identity_coefficients(space, rows)
+    ident = np.eye(space.n, dtype=complex)
+    x_mat = ident + rows.adjoint(rows.b - coef)
+    # relative to its scale, so that a start singular up to rounding (budget 0)
+    # is rejected whichever way the rounding falls
+    lam = np.linalg.eigvalsh(x_mat)
+    if lam[0] <= ATOL_EQ * np.abs(lam).max():
+        raise ValueError("the feasible point nearest the identity is not "
+                         "positive definite")
+    if spanned:  # dual feasible: S = tI - C, positive definite
         y = (2 * np.abs(np.linalg.eigvalsh(c_mat)).max() or 1.0) * coef
         s_mat = rows.adjoint(y) - c_mat
+    else:
+        y, s_mat = np.zeros(rank), ident
     trace = []
     value = primal = dual = gap = np.inf
     it = 0
@@ -383,21 +359,19 @@ def _dual_bound(space, rows: _Rows, y, c_mat) -> float:
     lam = np.linalg.eigvalsh(rows.adjoint(y) - c_mat)[0]
     if lam >= 0:
         return float(rows.b @ y)
-    coef = _identity_coefficients(space, rows)
-    if coef is None:
+    coef, spanned = _identity_coefficients(space, rows)
+    if not spanned:
         return np.inf
     return float(rows.b @ y - lam * (coef @ rows.b))
 
 
 def _identity_coefficients(space, rows: _Rows):
     """The identity's coefficients coef = (Re Tr A_i)_i in the orthonormal
-    rows, so that sum_i coef_i A_i = I; None when the identity is not in
-    their span."""
+    rows, and whether sum_i coef_i A_i = I, that is whether the identity
+    lies in their span."""
     ident = np.eye(space.n, dtype=complex)
     coef = rows(ident)
-    if np.abs(rows.adjoint(coef) - ident).max() > ATOL_EQ:
-        return None
-    return coef
+    return coef, bool(np.abs(rows.adjoint(coef) - ident).max() <= ATOL_EQ)
 
 
 def analytic_bound(d: int) -> float:

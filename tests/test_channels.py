@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clonelab.channels import (
     CombNetwork,
@@ -177,6 +179,13 @@ def test_kraus_choi_roundtrip():
     assert np.abs(back.choi - ch.choi).max() < 1e-9
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(d=st.integers(2, 4), n_kraus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_kraus_choi_roundtrip_on_random_isometries(d, n_kraus, seed):
+    ch = choi_from_kraus(random_cptp_kraus(np.random.default_rng(seed), d, n_kraus))
+    assert np.abs(choi_from_kraus(kraus_of(ch)).choi - ch.choi).max() <= 1e-12
+
+
 def test_channel_validation_catches_non_tp():
     bad = np.eye(4) * 0.4
     with pytest.raises(ValueError):
@@ -341,6 +350,15 @@ def test_functional_batch_on_terms_matches_dense_on_builder_combs(d):
         on_terms = comb_fidelity_functional_batch(net, us, d)
         dense = comb_fidelity_functional_batch(net.choi, us, d)
         assert np.abs(on_terms - dense).max() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_comb_network_links_terms_to_their_kronecker_sum(data):
+    k = data.draw(st.integers(1, 4))
+    a, b = data.draw(arrays(np.float64, (2, k, 8, 16), elements=st.floats(-1.0, 1.0))).view(complex)
+    expected = sum(np.kron(a[i], b[i]) for i in range(k))
+    assert np.abs(CombNetwork(d=2, terms=(a, b)).choi - expected).max() <= 1e-12
 
 
 def test_comb_network_takes_one_form_of_the_right_shape():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from clonelab.cloner import build_cloner
+from clonelab.irreps import build_irrep_table
 from clonelab.linalg import (
     ATOL_PSD,
     DimensionMismatchError,
@@ -21,6 +23,7 @@ from clonelab.linalg import (
     tensor,
     worst,
 )
+from clonelab.optimizer import build_problem
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -228,6 +231,19 @@ def test_require_gate_dim_bounds():
     for bad in (1, 5):
         with pytest.raises(ValueError):
             require_gate_dim(bad)
+
+
+@pytest.mark.parametrize("entry", [
+    require_gate_dim,
+    lambda d: build_problem(d, "clone"),
+    build_cloner,
+    build_irrep_table,
+], ids=["require_gate_dim", "build_problem", "build_cloner", "build_irrep_table"])
+def test_non_integral_gate_dim_is_rejected(entry):
+    # int(d) used to truncate it: build_problem(2.5, "clone") built the d = 2 problem
+    with pytest.raises(DimensionMismatchError, match="gate dimension d=2.5 is not an integer"):
+        entry(2.5)
+    assert require_gate_dim(np.float64(3.0)) == 3
 
 
 def test_worst_propagates_nan():

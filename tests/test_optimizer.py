@@ -197,7 +197,7 @@ def reference_solve(problem, tol=1e-8):
 
     inner = max(tol / 10.0, 1e-13)
     rho = 1.0
-    x = problem.initial.copy()
+    x = a_pinv @ b
     z = proj_psd(x)
     u = x - z
     for it in range(1, REFERENCE_MAX_ITERATIONS + 1):
@@ -254,14 +254,6 @@ def test_learn_constraint_count_d2():
     # its redundant (-,+) mirror); beta: (+,+)
     assert problem.constraints.shape[0] == 7
     assert problem.rhs.tolist().count(1.0) == 3
-
-
-def test_initial_point_is_feasible():
-    for d in (2, 3):
-        for task in ("clone", "learn"):
-            problem = build_problem(d, task)
-            residual = np.abs(problem.constraints @ problem.initial - problem.rhs).max()
-            assert residual < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -432,6 +424,48 @@ def test_scaled_dual_start_step_counts():
     assert sum(steps) <= 45
 
 
+def test_start_is_the_feasible_point_nearest_the_identity(monkeypatch):
+    # the primal start I + A*(b - A(I)), read off the first Newton step; the
+    # identity lies in the row space, so it is the least-norm point pinv(A) b
+    starts = []
+    step = optimizer._newton_step
+
+    def spy(x_mat, *rest):
+        starts.append(x_mat)
+        return step(x_mat, *rest)
+
+    monkeypatch.setattr(optimizer, "_newton_step", spy)
+    for d, task in SIX:
+        problem = build_problem(d, task)
+        with pytest.raises(ConvergenceError):
+            solve(problem, max_iterations=1)
+        x_mat = starts.pop()
+        assert np.linalg.eigvalsh(x_mat)[0] > 0
+        x = problem.space.entries(x_mat)
+        assert np.abs(problem.constraints @ x - problem.rhs).max() <= 1e-12
+        nearest = problem.space.embed(np.linalg.pinv(problem.constraints) @ problem.rhs)
+        assert np.abs(x_mat - nearest).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tol, steps", [(1e-8, [8, 7, 8, 8, 7, 7]), (1e-9, [8] * 6)])
+def test_start_step_counts(tol, steps):
+    # pinned exactly, so that a change of start or step shows
+    assert [solve(build_problem(d, task), tol=tol).iterations for d, task in SIX] == steps
+
+
+@pytest.mark.parametrize("budget", [-2.0, -1.0, 0.0])
+def test_solve_rejects_budgets_with_no_positive_definite_point(budget):
+    # a negative "-" budget: no PSD point meets it, and the solve used to run
+    # 50 Newton steps to a ConvergenceError with residual 3.1e204; a zero one
+    # leaves only singular points, and the start sits at +-2.2e-16 there
+    for d in (2, 3):
+        problem = build_problem(d, "clone")
+        bad = dataclasses.replace(problem, rhs=np.array([problem.rhs[0], budget]))
+        with pytest.raises(ValueError, match="the feasible point nearest the identity is not "
+                                             "positive definite"):
+            solve(bad)
+
+
 def test_fallback_start_when_the_trace_is_free():
     # the clone rows without the "-" budget leave Tr X free, so the solve
     # starts at y = 0, S = I; a negative definite objective keeps it bounded
@@ -458,12 +492,13 @@ def test_dual_bound_uses_the_fixed_trace():
     problem = build_problem(2, "clone")
     space = problem.space
     c_mat = space.embed(problem.objective)
-    orthonormal = np.linalg.svd(problem.constraints, full_matrices=False)[2]
-    rows = optimizer._Rows(space.embed(orthonormal), orthonormal @ problem.initial)
+    u, s, orthonormal = np.linalg.svd(problem.constraints, full_matrices=False)
+    b_hat = (u.T @ problem.rhs) / s
+    rows = optimizer._Rows(space.embed(orthonormal), b_hat)
     bound = optimizer._dual_bound(space, rows, np.zeros(2), c_mat)
     assert bound == pytest.approx(np.linalg.eigvalsh(c_mat)[-1] * 8, abs=1e-15)
     assert bound >= analytic_bound(2)
-    one = optimizer._Rows(space.embed(orthonormal[:1]), orthonormal[:1] @ problem.initial)
+    one = optimizer._Rows(space.embed(orthonormal[:1]), b_hat[:1])
     assert optimizer._dual_bound(space, one, np.zeros(1), c_mat) == np.inf
 
 
@@ -500,21 +535,6 @@ def test_solve_rejects_infinite_tolerance():
     # one Newton step (KKT residual 7.4e-2)
     with pytest.raises(ValueError, match="tol must be finite"):
         solve(build_problem(2, "clone"), tol=float("inf"))
-
-
-@pytest.mark.parametrize("bad, message", [
-    (float("nan"), "problem initial has a non-finite entry"),
-    (-1.0, "problem initial is not positive definite"),
-    (0.0, "problem initial is not positive definite"),
-])
-def test_solve_rejects_bad_initial_point(bad, message):
-    # a NaN or indefinite start used to end in "no convergence after 0
-    # iterations: best value inf, residual inf"
-    problem = build_problem(2, "clone")
-    initial = problem.initial.copy()
-    initial[0] = bad  # the first diagonal entry of the first block
-    with pytest.raises(ValueError, match=message):
-        solve(dataclasses.replace(problem, initial=initial))
 
 
 @pytest.mark.parametrize("field", ["objective", "constraints", "rhs"])
